@@ -11,9 +11,11 @@ measures the speedup on the Figure 7-style logistic-regression workload
 * the pairwise two-stage variant (sample-size-estimator inner loop),
 * a full ``ModelAccuracyEstimator.estimate`` call.
 
-The loop path is the generic ``ModelClassSpec`` fallback (what any custom
-spec without a vectorised override gets); the batched path is the
-``LogisticRegressionSpec`` override.  Run standalone::
+The loop baseline is built here: a per-θ loop over the scalar diff for the
+two diff stages, and for the full estimate a spec that declares only a
+per-θ ``predict`` (what a custom spec without a vectorised ``predict_many``
+gets).  The batched path is ``LogisticRegressionSpec``'s one-GEMM kernel.
+Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_batched_diff.py [--smoke] [--check 5]
 
@@ -87,9 +89,15 @@ def run(n_rows: int, n_features: int, k: int, repeats: int) -> list[dict]:
             }
         )
 
+    def loop(theta_a_rows, theta_b_rows):
+        return [
+            spec.prediction_difference(theta_a, theta_b, holdout)
+            for theta_a, theta_b in zip(theta_a_rows, theta_b_rows)
+        ]
+
     record(
         f"accuracy diffs (k={k})",
-        lambda: ModelClassSpec.prediction_differences(spec, model.theta, theta_N, holdout),
+        lambda: loop([model.theta] * k, theta_N),
         lambda: spec.prediction_differences(model.theta, theta_N, holdout),
     )
     # Informational: the pairwise loop path already evaluated both sides of
@@ -97,25 +105,19 @@ def run(n_rows: int, n_features: int, k: int, repeats: int) -> list[dict]:
     # (which stops recomputing the reference predictions k times).
     record(
         f"two-stage pairwise diffs (k={k})",
-        lambda: ModelClassSpec.pairwise_prediction_differences(
-            spec, theta_n_pairs, theta_N_pairs, holdout
-        ),
+        lambda: loop(theta_n_pairs, theta_N_pairs),
         lambda: spec.pairwise_prediction_differences(theta_n_pairs, theta_N_pairs, holdout),
         checked=False,
     )
 
-    # Full accuracy estimate: loop path simulated by hiding the overrides
-    # behind a thin spec that only exposes the scalar diff (i.e. what any
-    # custom ModelClassSpec without vectorised overrides experiences).
+    # Full accuracy estimate: the loop path is logistic regression declared
+    # the way a custom spec with only a per-θ ``predict`` would be, so every
+    # block evaluates k separate matrix-vector products.
     class LoopOnlySpec(LogisticRegressionSpec):
         predict_many = ModelClassSpec.predict_many
-        prediction_differences = ModelClassSpec.prediction_differences
-        pairwise_prediction_differences = ModelClassSpec.pairwise_prediction_differences
-        # Pin the streaming factories to the generic fallbacks too, so the
-        # loop path keeps the per-pair scalar-diff semantics it is meant to
-        # represent (a custom spec with no vectorised overrides at all).
-        diff_accumulator = ModelClassSpec.diff_accumulator
-        pairwise_diff_accumulator = ModelClassSpec.pairwise_diff_accumulator
+
+        def predict(self, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
+            return (np.asarray(X) @ theta >= 0).astype(np.int64)
 
     loop_spec = LoopOnlySpec(regularization=1e-3)
     batched_estimator = ModelAccuracyEstimator(spec, holdout, n_parameter_samples=k)

@@ -69,8 +69,8 @@ from repro.obs import current_pass_scope, get_metrics, maybe_span, obs_enabled
 STREAMING_BACKENDS = ("threads", "processes")
 
 # Streamed-pass accounting: one tick per stream_accumulate() call that
-# actually consumes holdout blocks (parameter-space metrics and the
-# materialised fallback never stream and never count).  The coalescing
+# actually consumes holdout blocks (parameter-space metrics never stream
+# and never count).  The coalescing
 # serving tier's "passes saved" accounting is defined against this counter:
 # tests and the bench_coalesced_serving gate measure fused-vs-serial
 # executions by diffing it, so it must tick exactly once per pass no matter
@@ -464,8 +464,7 @@ def stream_accumulate(task: StreamTask, config: StreamingConfig) -> Any:
     """
     first = task.make_accumulator()
     if not first.needs_holdout_blocks:
-        # Parameter-space metrics (PPCA) and the generic materialised
-        # fallback: nothing to shard.
+        # Parameter-space metrics (PPCA): nothing to shard.
         return first.finalize()
 
     _count_streaming_pass()

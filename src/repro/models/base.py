@@ -9,7 +9,9 @@ needs from a model family:
   them;
 * ``diff`` — the prediction difference between two parameter vectors on the
   holdout set, which is the quantity ``v(m_n)`` that the approximation
-  contract bounds.
+  contract bounds.  A family declares which of the three Appendix C metrics
+  its ``diff`` is (:attr:`ModelClassSpec.diff_kind`) and supplies
+  predictions; the base class derives every diff entry point from that.
 
 On top of those two, this implementation adds the pieces any real library
 needs: the training objective (so the Model Trainer can run), predictions,
@@ -23,7 +25,6 @@ exactly as the paper describes in Appendix A.
 
 from __future__ import annotations
 
-import threading
 from abc import ABC, abstractmethod
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -148,12 +149,9 @@ class BlockSumDiffAccumulator(DiffAccumulator):
 class PrecomputedDiffAccumulator(DiffAccumulator):
     """Accumulator whose differences do not depend on the holdout rows.
 
-    Two uses: parameter-space metrics (PPCA's aligned cosine) that are fully
-    determined by the parameter batches, and the generic fallback for custom
-    :class:`ModelClassSpec` subclasses without a streaming decomposition —
-    the fallback evaluates the materialised batched diff on the full holdout
-    up front, which preserves correctness but not the O(k · block) memory
-    bound (documented in ``docs/architecture.md``).
+    Used by the ``"subspace"`` metric kind (PPCA's aligned cosine), which is
+    fully determined by the parameter batches: the driver skips the block
+    loop, so an out-of-core holdout is never read.
     """
 
     needs_holdout_blocks = False
@@ -172,66 +170,51 @@ class PrecomputedDiffAccumulator(DiffAccumulator):
         return self._values
 
 
-def holdout_label_scale(dataset: Any, family: str) -> float:
-    """Label standard deviation normalising a regression diff metric.
+#: values of :attr:`ModelClassSpec.diff_kind` — the three model-difference
+#: metrics of Appendix C.
+DIFF_KINDS = ("disagreement", "rms", "subspace")
 
-    One implementation for every normalised regression family (linear,
-    Poisson) so the scale contract cannot silently diverge between them.
-    Block sources (:class:`repro.data.store.ShardedDataset`) expose the
-    scale through precomputed manifest moments (``label_std()`` — O(1), no
-    label I/O, equal to ``np.std`` of the materialised labels to a few
-    ulps); in-memory datasets compute ``np.std(y)`` directly.  (Near-)zero
-    scales fall back to 1.0 to avoid dividing by zero on constant labels.
+
+def _evaluate_whole(accumulator: DiffAccumulator, dataset: Dataset) -> np.ndarray:
+    """Finalize ``accumulator`` after feeding it ``dataset`` as one block."""
+    if accumulator.needs_holdout_blocks:
+        accumulator.update(dataset)
+    return accumulator.finalize()
+
+
+def _aligned_cosine_differences(
+    loadings_a: np.ndarray,
+    loadings_b: np.ndarray,
+    norms_a: np.ndarray,
+    norms_b: np.ndarray,
+) -> np.ndarray:
+    """``1 − cosine`` between matched ``(k, d, q)`` loading stacks, rotation-aligned.
+
+    The PPCA likelihood is invariant under right-rotation of the loading
+    matrix (``ΘΘᵀ`` is unchanged by ``Θ → ΘR`` for orthogonal R), so two
+    independently trained models can describe the *same* distribution with
+    differently rotated factors.  The paper's plain cosine metric
+    (Appendix C) implicitly assumes a consistent orientation; to keep it
+    meaningful the factors are first aligned with the optimal orthogonal
+    rotation (Procrustes: R = U Vᵀ from the SVD of Θ_aᵀ Θ_b maximises
+    ``<Θ_a R, Θ_b>``, and that maximum is the sum of the singular values of
+    Θ_aᵀ Θ_b).  For the perturbations the estimators sample (no rotation)
+    the aligned and unaligned metrics coincide up to second order.  A zero
+    loading matrix is maximally different (1.0) from everything.
     """
-    # Supervision is checked first so the unlabeled-holdout misuse raises
-    # the same ModelSpecError whichever storage tier the holdout lives in
-    # (a sharded source's label_std() would otherwise surface a DataError
-    # about manifest moments instead of explaining the missing labels).
-    if not getattr(dataset, "is_supervised", True):
-        raise ModelSpecError(
-            f"normalised {family} difference needs holdout labels for scaling"
-        )
-    label_std = getattr(dataset, "label_std", None)
-    if callable(label_std):
-        scale = float(label_std())
-        return scale if scale > 0 else 1.0
-    if dataset.y is None:
-        raise ModelSpecError(
-            f"normalised {family} difference needs holdout labels for scaling"
-        )
-    scale = float(np.std(dataset.y))
-    return scale if scale > 0 else 1.0
+    differences = np.ones(loadings_a.shape[0])
+    valid = (norms_a > 0) & (norms_b > 0)
+    if not np.any(valid):
+        return differences
+    cross = loadings_a[valid].transpose(0, 2, 1) @ loadings_b[valid]  # (v, q, q)
+    singular_values = np.linalg.svd(cross, compute_uv=False)  # (v, q)
+    cosines = singular_values.sum(axis=1) / (norms_a[valid] * norms_b[valid])
+    differences[valid] = 1.0 - np.minimum(cosines, 1.0)
+    return differences
 
 
-def materialize_if_sharded(dataset: Any) -> Dataset:
-    """An in-memory :class:`Dataset` for ``dataset``, whatever it is.
-
-    Block sources (e.g. :class:`repro.data.store.ShardedDataset`) expose a
-    ``materialize()`` method; in-memory datasets pass through untouched.
-    This is the correctness escape hatch for code that genuinely needs the
-    whole feature matrix — notably the generic accumulator fallbacks for
-    custom model specs without a streaming decomposition — and it
-    deliberately trades the out-of-core memory bound for compatibility.
-    """
-    materialize = getattr(dataset, "materialize", None)
-    if callable(materialize):
-        return materialize()
-    return dataset
-
-
-class _ReferenceMemo(threading.local):
-    """Per-thread one-slot memo for :meth:`ModelClassSpec._reference_predictions`.
-
-    Spec objects are shared by estimators, sessions and streaming worker
-    threads; a single shared slot would let two threads working on
-    different (θ, X) pairs evict each other's entry on every call (and,
-    without the GIL, publish a torn entry).  ``threading.local`` gives each
-    thread its own slot: no synchronisation on the hot path, no cross-thread
-    interference, and each streaming worker keeps its memo effective.
-    """
-
-    def __init__(self) -> None:
-        self.entry: tuple[bytes, np.ndarray, np.ndarray] | None = None
+def _flat_norms(loadings: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(loadings.reshape(loadings.shape[0], -1), axis=1)
 
 
 class ModelClassSpec(ABC):
@@ -241,31 +224,24 @@ class ModelClassSpec(ABC):
     task: str = "regression"
     #: short name used by the registry and in reports (e.g. "lr")
     name: str = "model"
+    #: the ``diff`` metric, one of :data:`DIFF_KINDS` (Appendix C):
+    #: ``"disagreement"`` — the fraction of holdout rows whose predicted
+    #: labels differ; ``"rms"`` — the RMS gap between predictions, divided
+    #: by the holdout label standard deviation when
+    #: :attr:`normalize_difference` is set; ``"subspace"`` — ``1 − cosine``
+    #: between the rotation-aligned ``(n_features, q)`` loading matrices the
+    #: parameter vectors flatten (parameter space only, no holdout rows).
+    diff_kind: str | None = None
+    #: ``"rms"`` only: divide the RMS gap by the holdout label std.
+    normalize_difference: bool = False
+    #: ``"rms"`` only: predictions are linear in θ, so the k pairwise gaps
+    #: are a single ``predict_many`` over the parameter deltas.
+    linear_in_theta: bool = False
 
     def __init__(self, regularization: float = 0.0):
         if regularization < 0:
             raise ModelSpecError("regularization coefficient must be non-negative")
         self.regularization = float(regularization)
-        # Per-thread one-slot memo for the reference predictions of the
-        # batched diff path: (theta bytes, feature-matrix identity) ->
-        # predictions.  The feature matrix is kept alive by the memo entry
-        # itself, so the identity check cannot alias a recycled object.
-        self._reference_cache = _ReferenceMemo()
-
-    # ------------------------------------------------------------------
-    # Pickling (the process streaming backend ships specs to its workers):
-    # the per-thread memo is a threading.local and cannot cross a process
-    # boundary, so it is dropped and rebuilt empty on the other side —
-    # losing one memoised prediction, never correctness.
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_reference_cache", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._reference_cache = _ReferenceMemo()
 
     # ------------------------------------------------------------------
     # Parameter bookkeeping
@@ -339,34 +315,212 @@ class ModelClassSpec(ABC):
 
     # ------------------------------------------------------------------
     # Prediction and the `diff` metric (Section 2.1, Appendix C)
+    #
+    # A family supplies predictions and declares its ``diff_kind``; the
+    # five diff entry points below are derived from that kind.  The two
+    # accumulator factories are the primitive: the streaming engine
+    # (repro.evaluation.streaming) drives them block by block at
+    # O(k · block) memory, the materialised batched calls feed them the
+    # whole holdout as one block, and the scalar diff is a k = 1 pairwise
+    # call — so every path runs the same arithmetic.
     # ------------------------------------------------------------------
     @abstractmethod
     def predict(self, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
         """Model predictions ``m(x; θ)`` for each row of ``X``."""
 
-    @abstractmethod
+    def predict_many(self, Thetas: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """Predictions for each parameter vector in the ``(k, p)`` batch.
+
+        Returns an array whose leading axis indexes the k parameter vectors;
+        entry i equals ``predict(Thetas[i], X)``.  The accuracy and
+        sample-size estimators compare k = O(100) sampled parameter vectors
+        at every estimate and probe, so the built-in families override this
+        with one BLAS-level matrix product; this default loops ``predict``.
+        """
+        Thetas = self._as_parameter_batch(Thetas)
+        return np.stack([self.predict(theta, X) for theta in Thetas])
+
     def prediction_difference(
         self, theta_a: np.ndarray, theta_b: np.ndarray, dataset: Dataset
     ) -> float:
         """The ``diff`` function: ``v`` between two parameter vectors.
 
-        Classification models return the disagreement probability on the
-        holdout set; regression returns the (normalised) RMS prediction
-        difference; PPCA returns ``1 − cosine(θ_a, θ_b)``.
+        The metric is the family's :attr:`diff_kind`.
         """
+        return float(
+            self.pairwise_prediction_differences(
+                np.asarray(theta_a, dtype=np.float64)[None, :],
+                np.asarray(theta_b, dtype=np.float64)[None, :],
+                dataset,
+            )[0]
+        )
 
-    # ------------------------------------------------------------------
-    # Batched parameter evaluation
-    #
-    # The accuracy and sample-size estimators evaluate the MCS ``diff``
-    # function against k = O(100) sampled parameter vectors at every
-    # estimate and every binary-search probe.  The methods below expose that
-    # inner loop as a set-at-a-time operation so model families can replace
-    # k separate predict calls with a single ``X @ Thetas.T``-style GEMM.
-    # The generic implementations fall back to the per-pair loop, so custom
-    # ModelClassSpec subclasses that only implement ``predict`` and
-    # ``prediction_difference`` keep working unchanged.
-    # ------------------------------------------------------------------
+    def prediction_differences(
+        self, theta_ref: np.ndarray, Thetas: np.ndarray, dataset: Dataset
+    ) -> np.ndarray:
+        """Batched ``diff``: ``v(θ_ref, Thetas[i])`` for each i, shape ``(k,)``.
+
+        This is the accuracy-estimator inner loop (Section 3.3 step 2): one
+        reference model against k sampled full-model parameters.
+        """
+        return _evaluate_whole(self.diff_accumulator(theta_ref, Thetas, dataset), dataset)
+
+    def pairwise_prediction_differences(
+        self, Thetas_a: np.ndarray, Thetas_b: np.ndarray, dataset: Dataset
+    ) -> np.ndarray:
+        """Elementwise batched ``diff``: ``v(Thetas_a[i], Thetas_b[i])``.
+
+        This is the sample-size-estimator inner loop (Section 4.1): the k
+        two-stage pairs ``(θ_n,i, θ_N,i)`` are compared pair by pair at every
+        binary-search probe.
+        """
+        return _evaluate_whole(
+            self.pairwise_diff_accumulator(Thetas_a, Thetas_b, dataset), dataset
+        )
+
+    def diff_accumulator(
+        self, theta_ref: np.ndarray, Thetas: np.ndarray, dataset: Any
+    ) -> DiffAccumulator:
+        """Accumulator computing ``prediction_differences`` block by block.
+
+        ``dataset`` is the *full* holdout — an in-memory :class:`Dataset` or
+        a block source (:class:`repro.data.store.ShardedDataset`).  Only
+        global context is read from it (the label scale of a normalised RMS
+        metric, the feature count of a subspace metric); predictions are
+        evaluated on the rows that arrive through ``update``.
+        """
+        Thetas = self._as_parameter_batch(Thetas)
+        theta_ref = np.asarray(theta_ref, dtype=np.float64)
+        k = Thetas.shape[0]
+        if self._diff_kind() == "subspace":
+            loadings = self._loadings(Thetas, dataset)
+            norm_ref = float(np.linalg.norm(theta_ref))
+            if norm_ref == 0:
+                return PrecomputedDiffAccumulator(np.ones(k))
+            references = np.broadcast_to(
+                self._loadings(theta_ref[None, :], dataset), loadings.shape
+            )
+            return PrecomputedDiffAccumulator(
+                _aligned_cosine_differences(
+                    references, loadings, np.full(k, norm_ref), _flat_norms(loadings)
+                )
+            )
+        return self._block_sum_accumulator(
+            k,
+            lambda X: (self.predict_many(Thetas, X), self.predict(theta_ref, X)[None, :]),
+            dataset,
+        )
+
+    def pairwise_diff_accumulator(
+        self, Thetas_a: np.ndarray, Thetas_b: np.ndarray, dataset: Any
+    ) -> DiffAccumulator:
+        """Accumulator computing ``pairwise_prediction_differences`` blockwise."""
+        Thetas_a, Thetas_b = self._as_paired_batches(Thetas_a, Thetas_b)
+        k = Thetas_a.shape[0]
+        kind = self._diff_kind()
+        if kind == "subspace":
+            loadings_a = self._loadings(Thetas_a, dataset)
+            loadings_b = self._loadings(Thetas_b, dataset)
+            return PrecomputedDiffAccumulator(
+                _aligned_cosine_differences(
+                    loadings_a, loadings_b, _flat_norms(loadings_a), _flat_norms(loadings_b)
+                )
+            )
+        if kind == "rms" and self.linear_in_theta:
+            # The gaps are the predictions of the parameter deltas.
+            deltas = Thetas_a - Thetas_b
+            return self._block_sum_accumulator(
+                k, lambda X: (self.predict_many(deltas, X), 0.0), dataset
+            )
+        # Both sides of every pair come out of one stacked predict_many.
+        stacked = np.concatenate([Thetas_a, Thetas_b], axis=0)
+
+        def both_sides(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            predictions = self.predict_many(stacked, X)
+            return predictions[:k], predictions[k:]
+
+        return self._block_sum_accumulator(k, both_sides, dataset)
+
+    def _block_sum_accumulator(
+        self,
+        n_candidates: int,
+        sides: Callable[[np.ndarray], tuple[np.ndarray, Any]],
+        dataset: Any,
+    ) -> DiffAccumulator:
+        """Fold the per-row statistic of ``sides(X) -> (left, right)``.
+
+        Disagreement sums exact integer mismatch counts, so the result is
+        bitwise the same for every blocking; RMS sums squared gaps and
+        takes one ``sqrt(mean) / scale`` at the end.
+        """
+        if self._diff_kind() == "disagreement":
+
+            def mismatches(block: Dataset) -> np.ndarray:
+                left, right = sides(block.X)
+                return np.count_nonzero(left != right, axis=1)
+
+            return BlockSumDiffAccumulator(
+                n_candidates, mismatches, lambda sums, rows: sums / rows
+            )
+        scale = self._difference_scale(dataset)
+
+        def squared_gaps(block: Dataset) -> np.ndarray:
+            left, right = sides(block.X)
+            gaps = left - right
+            return np.einsum("kn,kn->k", gaps, gaps)
+
+        return BlockSumDiffAccumulator(
+            n_candidates, squared_gaps, lambda sums, rows: np.sqrt(sums / rows) / scale
+        )
+
+    def _diff_kind(self) -> str:
+        kind = self.diff_kind
+        if kind is None or kind not in DIFF_KINDS:
+            raise ModelSpecError(
+                f"{type(self).__name__} must declare diff_kind as one of "
+                f"{DIFF_KINDS}, not {kind!r}"
+            )
+        return kind
+
+    def _difference_scale(self, dataset: Any) -> float:
+        """Divisor of the RMS gap: the holdout label std, or 1.0 unnormalised.
+
+        Block sources (:class:`repro.data.store.ShardedDataset`) expose the
+        scale through precomputed manifest moments (``label_std()`` — O(1),
+        no label I/O, equal to ``np.std`` of the materialised labels to a
+        few ulps); in-memory datasets compute ``np.std(y)`` directly.
+        (Near-)zero scales fall back to 1.0 to avoid dividing by zero on
+        constant labels.
+        """
+        if not self.normalize_difference:
+            return 1.0
+        # Supervision is checked first so the unlabeled-holdout misuse raises
+        # the same ModelSpecError whichever storage tier the holdout lives in
+        # (a sharded source's label_std() would otherwise surface a DataError
+        # about manifest moments instead of explaining the missing labels).
+        missing_labels = ModelSpecError(
+            f"normalised {self.name} difference needs holdout labels for scaling"
+        )
+        if not getattr(dataset, "is_supervised", True):
+            raise missing_labels
+        label_std = getattr(dataset, "label_std", None)
+        if callable(label_std):
+            scale = float(label_std())
+        elif dataset.y is None:
+            raise missing_labels
+        else:
+            scale = float(np.std(dataset.y))
+        return scale if scale > 0 else 1.0
+
+    def _loadings(self, Thetas: np.ndarray, dataset: Any) -> np.ndarray:
+        """View a ``(k, p)`` parameter batch as ``(k, n_features, q)`` loadings."""
+        expected = self.n_parameters(dataset)
+        if Thetas.shape[1] != expected:
+            raise ModelSpecError(
+                f"parameter vectors have length {Thetas.shape[1]}, expected {expected}"
+            )
+        return Thetas.reshape(Thetas.shape[0], dataset.n_features, -1)
+
     def _as_parameter_batch(self, Thetas: np.ndarray) -> np.ndarray:
         """Validate and coerce a stack of parameter vectors to ``(k, p)``."""
         Thetas = np.asarray(Thetas, dtype=np.float64)
@@ -388,210 +542,6 @@ class ModelClassSpec(ABC):
                 f"{Thetas_a.shape} and {Thetas_b.shape}"
             )
         return Thetas_a, Thetas_b
-
-    def _reference_predictions(self, theta_ref: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """Predictions of the reference θ, memoised across consecutive calls.
-
-        The batched diff path evaluates many candidate parameter vectors
-        against the *same* reference θ on the *same* holdout features, so the
-        reference predictions are computed once per (θ, X) pair instead of
-        once per candidate.
-
-        The memo hit test is ``X is cached_X`` plus the θ bytes, which
-        relies on :class:`~repro.data.dataset.Dataset`'s documented
-        immutability: mutating a feature matrix in place and re-passing the
-        same array object would return stale predictions.  Build a new
-        Dataset (the library-wide convention) instead of mutating buffers.
-
-        The memo is **per thread** (:class:`_ReferenceMemo`): spec objects
-        are shared across estimator, session and streaming worker threads,
-        and a shared slot would thrash (or tear, on free-threaded builds)
-        under concurrent use with different (θ, X) pairs.
-        """
-        theta_ref = np.asarray(theta_ref, dtype=np.float64)
-        key = theta_ref.tobytes()
-        # getattr guards custom specs whose __init__ skips super().__init__
-        # (installing lazily is a benign race: a lost slot only costs one
-        # memoised prediction, never correctness).
-        memo = getattr(self, "_reference_cache", None)
-        if not isinstance(memo, _ReferenceMemo):
-            memo = _ReferenceMemo()
-            self._reference_cache = memo
-        entry = memo.entry
-        if entry is not None and entry[0] == key and entry[1] is X:
-            return entry[2]
-        predictions = self.predict(theta_ref, X)
-        memo.entry = (key, X, predictions)
-        return predictions
-
-    def predict_many(self, Thetas: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """Predictions for each parameter vector in the ``(k, p)`` batch.
-
-        Returns an array whose leading axis indexes the k parameter vectors;
-        entry i equals ``predict(Thetas[i], X)``.  Vectorised overrides
-        compute all k prediction sets in one BLAS-level matrix product.
-        """
-        Thetas = self._as_parameter_batch(Thetas)
-        return np.stack([self.predict(theta, X) for theta in Thetas])
-
-    def prediction_differences(
-        self, theta_ref: np.ndarray, Thetas: np.ndarray, dataset: Dataset
-    ) -> np.ndarray:
-        """Batched ``diff``: ``v(θ_ref, Thetas[i])`` for each i, shape ``(k,)``.
-
-        This is the accuracy-estimator inner loop (Section 3.3 step 2): one
-        reference model against k sampled full-model parameters.
-        """
-        Thetas = self._as_parameter_batch(Thetas)
-        theta_ref = np.asarray(theta_ref, dtype=np.float64)
-        return np.array(
-            [self.prediction_difference(theta_ref, theta, dataset) for theta in Thetas],
-            dtype=np.float64,
-        )
-
-    def pairwise_prediction_differences(
-        self, Thetas_a: np.ndarray, Thetas_b: np.ndarray, dataset: Dataset
-    ) -> np.ndarray:
-        """Elementwise batched ``diff``: ``v(Thetas_a[i], Thetas_b[i])``.
-
-        This is the sample-size-estimator inner loop (Section 4.1): the k
-        two-stage pairs ``(θ_n,i, θ_N,i)`` are compared pair by pair at every
-        binary-search probe.
-        """
-        Thetas_a, Thetas_b = self._as_paired_batches(Thetas_a, Thetas_b)
-        return np.array(
-            [
-                self.prediction_difference(theta_a, theta_b, dataset)
-                for theta_a, theta_b in zip(Thetas_a, Thetas_b)
-            ],
-            dtype=np.float64,
-        )
-
-    # ------------------------------------------------------------------
-    # Streaming sharded holdout evaluation
-    #
-    # The batched methods above still materialise the full (k, n_holdout)
-    # prediction block.  The factories below instead hand back a
-    # DiffAccumulator that the streaming engine
-    # (repro.evaluation.streaming) drives block by block, keeping memory
-    # at O(k · block).  The five built-in families override them with
-    # disagreement-count / squared-error-sum accumulators; the generic
-    # fallbacks evaluate the materialised batched diff once so any custom
-    # spec keeps working (correct, but without the memory bound).
-    # ------------------------------------------------------------------
-    def diff_accumulator(
-        self, theta_ref: np.ndarray, Thetas: np.ndarray, dataset: Dataset
-    ) -> DiffAccumulator:
-        """Accumulator computing ``prediction_differences`` block by block.
-
-        ``dataset`` is the *full* holdout: factories may read global context
-        from it (e.g. the label scale of normalised regression metrics) but
-        must not evaluate predictions on it — rows arrive via ``update``.
-        It may also be a block source (:class:`repro.data.store.ShardedDataset`);
-        this generic fallback then materialises it once, preserving
-        correctness for custom specs at the cost of the memory bound (the
-        built-in families override with true streaming decompositions).
-        """
-        return PrecomputedDiffAccumulator(
-            self.prediction_differences(
-                theta_ref, Thetas, materialize_if_sharded(dataset)
-            )
-        )
-
-    def pairwise_diff_accumulator(
-        self, Thetas_a: np.ndarray, Thetas_b: np.ndarray, dataset: Dataset
-    ) -> DiffAccumulator:
-        """Accumulator computing ``pairwise_prediction_differences`` blockwise."""
-        return PrecomputedDiffAccumulator(
-            self.pairwise_prediction_differences(
-                Thetas_a, Thetas_b, materialize_if_sharded(dataset)
-            )
-        )
-
-    # ------------------------------------------------------------------
-    # Shared accumulator builders for the two metric shapes every built-in
-    # family reduces to: mean prediction disagreement (classification) and
-    # (normalised) RMS prediction gap (regression).  Families call these
-    # from their diff_accumulator overrides so the blockwise decomposition
-    # lives in exactly one place.
-    # ------------------------------------------------------------------
-    def _disagreement_accumulator(
-        self, theta_ref: np.ndarray, Thetas: np.ndarray
-    ) -> DiffAccumulator:
-        """Blockwise mean-disagreement vs one reference θ (exact counts)."""
-        Thetas = self._as_parameter_batch(Thetas)
-        theta_ref = np.asarray(theta_ref, dtype=np.float64)
-
-        def block_sums(block: Dataset) -> np.ndarray:
-            reference = self.predict(theta_ref, block.X)
-            return np.count_nonzero(
-                self.predict_many(Thetas, block.X) != reference[None, :], axis=1
-            )
-
-        return BlockSumDiffAccumulator(
-            Thetas.shape[0], block_sums, lambda sums, rows: sums / rows
-        )
-
-    def _pairwise_disagreement_accumulator(
-        self, Thetas_a: np.ndarray, Thetas_b: np.ndarray
-    ) -> DiffAccumulator:
-        """Blockwise mean-disagreement between matched parameter pairs."""
-        Thetas_a, Thetas_b = self._as_paired_batches(Thetas_a, Thetas_b)
-        stacked = np.concatenate([Thetas_a, Thetas_b], axis=0)
-        k = Thetas_a.shape[0]
-
-        def block_sums(block: Dataset) -> np.ndarray:
-            labels = self.predict_many(stacked, block.X)
-            return np.count_nonzero(labels[:k] != labels[k:], axis=1)
-
-        return BlockSumDiffAccumulator(k, block_sums, lambda sums, rows: sums / rows)
-
-    def _rms_accumulator(
-        self, theta_ref: np.ndarray, Thetas: np.ndarray, scale: float
-    ) -> DiffAccumulator:
-        """Blockwise ``sqrt(mean((pred − ref)²)) / scale`` vs one reference θ."""
-        Thetas = self._as_parameter_batch(Thetas)
-        theta_ref = np.asarray(theta_ref, dtype=np.float64)
-
-        def block_sums(block: Dataset) -> np.ndarray:
-            gaps = self.predict_many(Thetas, block.X) - self.predict(theta_ref, block.X)[None, :]
-            return np.einsum("kn,kn->k", gaps, gaps)
-
-        return BlockSumDiffAccumulator(
-            Thetas.shape[0], block_sums, lambda sums, rows: np.sqrt(sums / rows) / scale
-        )
-
-    def _pairwise_rms_accumulator(
-        self,
-        Thetas_a: np.ndarray,
-        Thetas_b: np.ndarray,
-        scale: float,
-        linear_predictions: bool = False,
-    ) -> DiffAccumulator:
-        """Blockwise normalised RMS gap between matched parameter pairs.
-
-        ``linear_predictions=True`` exploits prediction linearity in θ: the
-        per-pair gaps collapse to one GEMM over the parameter deltas.
-        """
-        Thetas_a, Thetas_b = self._as_paired_batches(Thetas_a, Thetas_b)
-        k = Thetas_a.shape[0]
-        if linear_predictions:
-            deltas = Thetas_a - Thetas_b
-
-            def block_sums(block: Dataset) -> np.ndarray:
-                gaps = self.predict_many(deltas, block.X)
-                return np.einsum("kn,kn->k", gaps, gaps)
-        else:
-            stacked = np.concatenate([Thetas_a, Thetas_b], axis=0)
-
-            def block_sums(block: Dataset) -> np.ndarray:
-                predictions = self.predict_many(stacked, block.X)
-                gaps = predictions[:k] - predictions[k:]
-                return np.einsum("kn,kn->k", gaps, gaps)
-
-        return BlockSumDiffAccumulator(
-            k, block_sums, lambda sums, rows: np.sqrt(sums / rows) / scale
-        )
 
     # ------------------------------------------------------------------
     # Training

@@ -29,11 +29,7 @@ import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.exceptions import ModelSpecError
-from repro.models.base import (
-    DiffAccumulator,
-    ModelClassSpec,
-    holdout_label_scale,
-)
+from repro.models.base import ModelClassSpec
 
 
 class LinearRegressionSpec(ModelClassSpec):
@@ -57,6 +53,8 @@ class LinearRegressionSpec(ModelClassSpec):
 
     task = "regression"
     name = "lin"
+    diff_kind = "rms"
+    linear_in_theta = True
 
     def __init__(
         self,
@@ -132,7 +130,7 @@ class LinearRegressionSpec(ModelClassSpec):
         return dataset.X.T @ dataset.X / (n * self.noise_variance) + self.regularization * np.eye(d)
 
     # ------------------------------------------------------------------
-    # Prediction and diff
+    # Prediction
     # ------------------------------------------------------------------
     def predict(self, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
         return np.asarray(X, dtype=np.float64) @ np.asarray(theta, dtype=np.float64)
@@ -140,52 +138,6 @@ class LinearRegressionSpec(ModelClassSpec):
     def predict_many(self, Thetas: np.ndarray, X: np.ndarray) -> np.ndarray:
         Thetas = self._as_parameter_batch(Thetas)
         return Thetas @ np.asarray(X, dtype=np.float64).T
-
-    def _difference_scale(self, dataset: Dataset) -> float:
-        if not self.normalize_difference:
-            return 1.0
-        return holdout_label_scale(dataset, "regression")
-
-    def prediction_difference(
-        self, theta_a: np.ndarray, theta_b: np.ndarray, dataset: Dataset
-    ) -> float:
-        predictions_a = self.predict(theta_a, dataset.X)
-        predictions_b = self.predict(theta_b, dataset.X)
-        rms = float(np.sqrt(np.mean((predictions_a - predictions_b) ** 2)))
-        return rms / self._difference_scale(dataset)
-
-    def prediction_differences(
-        self, theta_ref: np.ndarray, Thetas: np.ndarray, dataset: Dataset
-    ) -> np.ndarray:
-        reference = self._reference_predictions(theta_ref, dataset.X)
-        batch = self.predict_many(Thetas, dataset.X)  # (k, n) in one GEMM
-        rms = np.sqrt(np.mean((batch - reference[None, :]) ** 2, axis=1))
-        return rms / self._difference_scale(dataset)
-
-    def pairwise_prediction_differences(
-        self, Thetas_a: np.ndarray, Thetas_b: np.ndarray, dataset: Dataset
-    ) -> np.ndarray:
-        Thetas_a, Thetas_b = self._as_paired_batches(Thetas_a, Thetas_b)
-        # Predictions are linear in θ, so the k prediction gaps collapse to
-        # a single GEMM over the parameter deltas.
-        deltas = self.predict_many(Thetas_a - Thetas_b, dataset.X)
-        rms = np.sqrt(np.mean(deltas**2, axis=1))
-        return rms / self._difference_scale(dataset)
-
-    def diff_accumulator(
-        self, theta_ref: np.ndarray, Thetas: np.ndarray, dataset: Dataset
-    ) -> DiffAccumulator:
-        """Streaming RMS gap: per-block squared-error sums, one final sqrt."""
-        return self._rms_accumulator(theta_ref, Thetas, self._difference_scale(dataset))
-
-    def pairwise_diff_accumulator(
-        self, Thetas_a: np.ndarray, Thetas_b: np.ndarray, dataset: Dataset
-    ) -> DiffAccumulator:
-        # Linearity: the k prediction gaps per block are one GEMM over the
-        # parameter deltas, exactly as in the materialised pairwise path.
-        return self._pairwise_rms_accumulator(
-            Thetas_a, Thetas_b, self._difference_scale(dataset), linear_predictions=True
-        )
 
     def describe(self) -> dict:
         description = super().describe()

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.exceptions import ModelSpecError
-from repro.models.base import DiffAccumulator, ModelClassSpec
+from repro.models.base import ModelClassSpec
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -43,6 +43,7 @@ class LogisticRegressionSpec(ModelClassSpec):
 
     task = "binary"
     name = "lr"
+    diff_kind = "disagreement"
 
     def __init__(self, regularization: float = 1e-3):
         super().__init__(regularization=regularization)
@@ -88,63 +89,22 @@ class LogisticRegressionSpec(ModelClassSpec):
         return dataset.X.T @ weighted / n + self.regularization * np.eye(d)
 
     # ------------------------------------------------------------------
-    # Prediction and diff
+    # Prediction
     # ------------------------------------------------------------------
     def predict_proba(self, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
         """Positive-class probabilities ``σ(θᵀx)``."""
         return sigmoid(np.asarray(X, dtype=np.float64) @ np.asarray(theta, dtype=np.float64))
 
     def predict(self, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
-        return (self.predict_proba(theta, X) >= 0.5).astype(np.int64)
-
-    def predict_proba_many(self, Thetas: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """Positive-class probabilities for a ``(k, d)`` parameter batch.
-
-        All k logit vectors come out of a single ``Thetas @ Xᵀ`` GEMM.
-        """
-        Thetas = self._as_parameter_batch(Thetas)
-        return sigmoid(Thetas @ np.asarray(X, dtype=np.float64).T)
+        return self.predict_many(np.asarray(theta, dtype=np.float64)[None, :], X)[0]
 
     def predict_many(self, Thetas: np.ndarray, X: np.ndarray) -> np.ndarray:
-        return (self.predict_proba_many(Thetas, X) >= 0.5).astype(np.int64)
+        """Labels ``1[θᵀx >= 0]`` for a ``(k, d)`` parameter batch.
 
-    def prediction_difference(
-        self, theta_a: np.ndarray, theta_b: np.ndarray, dataset: Dataset
-    ) -> float:
-        predictions_a = self.predict(theta_a, dataset.X)
-        predictions_b = self.predict(theta_b, dataset.X)
-        return float(np.mean(predictions_a != predictions_b))
-
-    def prediction_differences(
-        self, theta_ref: np.ndarray, Thetas: np.ndarray, dataset: Dataset
-    ) -> np.ndarray:
-        reference = self._reference_predictions(theta_ref, dataset.X)
-        batch = self.predict_many(Thetas, dataset.X)  # (k, n)
-        return np.mean(batch != reference[None, :], axis=1)
-
-    def pairwise_prediction_differences(
-        self, Thetas_a: np.ndarray, Thetas_b: np.ndarray, dataset: Dataset
-    ) -> np.ndarray:
-        Thetas_a, Thetas_b = self._as_paired_batches(Thetas_a, Thetas_b)
-        # One GEMM for both sides of every pair.
-        stacked = np.concatenate([Thetas_a, Thetas_b], axis=0)
-        labels = self.predict_many(stacked, dataset.X)
-        k = Thetas_a.shape[0]
-        return np.mean(labels[:k] != labels[k:], axis=1)
-
-    def diff_accumulator(
-        self, theta_ref: np.ndarray, Thetas: np.ndarray, dataset: Dataset
-    ) -> DiffAccumulator:
-        """Streaming disagreement: integer mismatch counts per holdout block.
-
-        Counts are exact, so the sharded result is bitwise identical to the
-        materialised path regardless of block size.
+        All k logit vectors come out of a single ``Thetas @ Xᵀ`` GEMM.  The
+        label is decided on the raw logit: ``σ(z) >= 0.5`` agrees with
+        ``z >= 0`` except where σ(z) rounds to 0.5 for ``|z| ≲ 1e-16``, and
+        the sigmoid would cost more than the GEMM.
         """
-        del dataset  # disagreement needs no global holdout context
-        return self._disagreement_accumulator(theta_ref, Thetas)
-
-    def pairwise_diff_accumulator(
-        self, Thetas_a: np.ndarray, Thetas_b: np.ndarray, dataset: Dataset
-    ) -> DiffAccumulator:
-        del dataset
-        return self._pairwise_disagreement_accumulator(Thetas_a, Thetas_b)
+        Thetas = self._as_parameter_batch(Thetas)
+        return (Thetas @ np.asarray(X, dtype=np.float64).T >= 0).astype(np.int64)

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.exceptions import ModelSpecError
-from repro.models.base import DiffAccumulator, ModelClassSpec
+from repro.models.base import ModelClassSpec
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -47,6 +47,7 @@ class MaxEntropySpec(ModelClassSpec):
 
     task = "multiclass"
     name = "me"
+    diff_kind = "disagreement"
 
     def __init__(self, n_classes: int | None = None, regularization: float = 1e-3):
         super().__init__(regularization=regularization)
@@ -138,7 +139,7 @@ class MaxEntropySpec(ModelClassSpec):
         return H
 
     # ------------------------------------------------------------------
-    # Prediction and diff
+    # Prediction
     # ------------------------------------------------------------------
     def predict_proba(self, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -146,9 +147,16 @@ class MaxEntropySpec(ModelClassSpec):
         return softmax(X @ Theta.T)
 
     def predict(self, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
-        return np.argmax(self.predict_proba(theta, X), axis=1).astype(np.int64)
+        return self.predict_many(np.asarray(theta, dtype=np.float64)[None, :], X)[0]
 
     def predict_many(self, Thetas: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """Class labels for a ``(k, K·d)`` parameter batch, shape ``(k, n)``.
+
+        All k·K class scores come from a single ``(k·K, d) × (d, n)`` GEMM.
+        Softmax is strictly monotone per row, so the label is the argmax of
+        the raw logits; taking it after the softmax could only merge logits
+        that differ by less than the softmax's rounding.
+        """
         X = np.asarray(X, dtype=np.float64)
         Thetas = self._as_parameter_batch(Thetas)
         if self.n_classes is None:
@@ -160,48 +168,8 @@ class MaxEntropySpec(ModelClassSpec):
             raise ModelSpecError(
                 f"parameter vectors have length {Thetas.shape[1]}, expected {K * d}"
             )
-        # All k·K class scores come from a single (k·K, d) × (d, n) GEMM.
-        # Softmax is strictly monotone per row, so argmax over raw logits
-        # matches argmax over the per-θ predict_proba path.
         logits = (Thetas.reshape(k * K, d) @ X.T).reshape(k, K, -1)
         return np.argmax(logits, axis=1).astype(np.int64)
-
-    def prediction_difference(
-        self, theta_a: np.ndarray, theta_b: np.ndarray, dataset: Dataset
-    ) -> float:
-        predictions_a = self.predict(theta_a, dataset.X)
-        predictions_b = self.predict(theta_b, dataset.X)
-        return float(np.mean(predictions_a != predictions_b))
-
-    def prediction_differences(
-        self, theta_ref: np.ndarray, Thetas: np.ndarray, dataset: Dataset
-    ) -> np.ndarray:
-        reference = self._reference_predictions(theta_ref, dataset.X)
-        batch = self.predict_many(Thetas, dataset.X)  # (k, n)
-        return np.mean(batch != reference[None, :], axis=1)
-
-    def pairwise_prediction_differences(
-        self, Thetas_a: np.ndarray, Thetas_b: np.ndarray, dataset: Dataset
-    ) -> np.ndarray:
-        Thetas_a, Thetas_b = self._as_paired_batches(Thetas_a, Thetas_b)
-        labels = self.predict_many(
-            np.concatenate([Thetas_a, Thetas_b], axis=0), dataset.X
-        )
-        k = Thetas_a.shape[0]
-        return np.mean(labels[:k] != labels[k:], axis=1)
-
-    def diff_accumulator(
-        self, theta_ref: np.ndarray, Thetas: np.ndarray, dataset: Dataset
-    ) -> DiffAccumulator:
-        """Streaming multiclass disagreement: exact argmax-mismatch counts."""
-        del dataset
-        return self._disagreement_accumulator(theta_ref, Thetas)
-
-    def pairwise_diff_accumulator(
-        self, Thetas_a: np.ndarray, Thetas_b: np.ndarray, dataset: Dataset
-    ) -> DiffAccumulator:
-        del dataset
-        return self._pairwise_disagreement_accumulator(Thetas_a, Thetas_b)
 
     def describe(self) -> dict:
         description = super().describe()

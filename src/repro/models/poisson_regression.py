@@ -26,11 +26,7 @@ import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.exceptions import ModelSpecError
-from repro.models.base import (
-    DiffAccumulator,
-    ModelClassSpec,
-    holdout_label_scale,
-)
+from repro.models.base import ModelClassSpec
 
 #: linear predictors are clipped to this magnitude before exponentiation so a
 #: wild parameter probe cannot overflow ``exp``.
@@ -42,6 +38,7 @@ class PoissonRegressionSpec(ModelClassSpec):
 
     task = "regression"
     name = "poisson"
+    diff_kind = "rms"
 
     def __init__(self, regularization: float = 1e-3, normalize_difference: bool = True):
         super().__init__(regularization=regularization)
@@ -84,7 +81,7 @@ class PoissonRegressionSpec(ModelClassSpec):
         return dataset.X.T @ weighted / n + self.regularization * np.eye(d)
 
     # ------------------------------------------------------------------
-    # Prediction and diff
+    # Prediction
     # ------------------------------------------------------------------
     def predict(self, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
         """Predicted Poisson rates ``exp(θᵀx)`` for each row of ``X``."""
@@ -97,53 +94,6 @@ class PoissonRegressionSpec(ModelClassSpec):
             Thetas @ np.asarray(X, dtype=np.float64).T, -_MAX_LOG_RATE, _MAX_LOG_RATE
         )
         return np.exp(log_rates)
-
-    def _difference_scale(self, dataset: Dataset) -> float:
-        if not self.normalize_difference:
-            return 1.0
-        return holdout_label_scale(dataset, "Poisson")
-
-    def prediction_difference(
-        self, theta_a: np.ndarray, theta_b: np.ndarray, dataset: Dataset
-    ) -> float:
-        rates_a = self.predict(theta_a, dataset.X)
-        rates_b = self.predict(theta_b, dataset.X)
-        rms = float(np.sqrt(np.mean((rates_a - rates_b) ** 2)))
-        return rms / self._difference_scale(dataset)
-
-    def prediction_differences(
-        self, theta_ref: np.ndarray, Thetas: np.ndarray, dataset: Dataset
-    ) -> np.ndarray:
-        reference = self._reference_predictions(theta_ref, dataset.X)
-        batch = self.predict_many(Thetas, dataset.X)
-        rms = np.sqrt(np.mean((batch - reference[None, :]) ** 2, axis=1))
-        return rms / self._difference_scale(dataset)
-
-    def pairwise_prediction_differences(
-        self, Thetas_a: np.ndarray, Thetas_b: np.ndarray, dataset: Dataset
-    ) -> np.ndarray:
-        Thetas_a, Thetas_b = self._as_paired_batches(Thetas_a, Thetas_b)
-        # The rate map is nonlinear, so both sides are evaluated — still in
-        # a single stacked GEMM.
-        rates = self.predict_many(np.concatenate([Thetas_a, Thetas_b], axis=0), dataset.X)
-        k = Thetas_a.shape[0]
-        rms = np.sqrt(np.mean((rates[:k] - rates[k:]) ** 2, axis=1))
-        return rms / self._difference_scale(dataset)
-
-    def diff_accumulator(
-        self, theta_ref: np.ndarray, Thetas: np.ndarray, dataset: Dataset
-    ) -> DiffAccumulator:
-        """Streaming RMS rate gap: per-block squared-error sums."""
-        return self._rms_accumulator(theta_ref, Thetas, self._difference_scale(dataset))
-
-    def pairwise_diff_accumulator(
-        self, Thetas_a: np.ndarray, Thetas_b: np.ndarray, dataset: Dataset
-    ) -> DiffAccumulator:
-        # The rate map is nonlinear, so both sides of every pair are
-        # evaluated per block — still one stacked GEMM per block.
-        return self._pairwise_rms_accumulator(
-            Thetas_a, Thetas_b, self._difference_scale(dataset)
-        )
 
     def describe(self) -> dict:
         description = super().describe()

@@ -16,7 +16,9 @@ high-dimensional experiments.  Parameters are exchanged as the flattened
 (d·q)-vector, exactly as the paper describes.
 
 The paper's model-difference metric for unsupervised learning (Appendix C)
-is ``v = 1 − cosine(θ_n, θ_N)`` on the flattened parameters.
+is ``v = 1 − cosine(θ_n, θ_N)`` on the flattened parameters, taken after
+rotation alignment (the ``"subspace"`` diff kind of
+:class:`~repro.models.base.ModelClassSpec`).
 """
 
 from __future__ import annotations
@@ -25,11 +27,7 @@ import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.exceptions import ModelSpecError
-from repro.models.base import (
-    DiffAccumulator,
-    ModelClassSpec,
-    PrecomputedDiffAccumulator,
-)
+from repro.models.base import ModelClassSpec
 
 
 class PPCASpec(ModelClassSpec):
@@ -50,6 +48,7 @@ class PPCASpec(ModelClassSpec):
 
     task = "unsupervised"
     name = "ppca"
+    diff_kind = "subspace"
 
     def __init__(self, n_factors: int = 10, sigma2: float = 1.0, regularization: float = 0.0):
         super().__init__(regularization=regularization)
@@ -174,7 +173,7 @@ class PPCASpec(ModelClassSpec):
         return per_example.reshape(n, d * q)
 
     # ------------------------------------------------------------------
-    # Prediction and diff
+    # Prediction
     # ------------------------------------------------------------------
     def predict(self, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
         """Posterior-mean latent scores ``E[z | x] = M⁻¹ Θᵀ x`` per row."""
@@ -217,108 +216,6 @@ class PPCASpec(ModelClassSpec):
         X = np.asarray(X, dtype=np.float64)
         Theta = self.reshape(theta, X.shape[1])
         return self.predict(theta, X) @ Theta.T
-
-    def prediction_difference(
-        self, theta_a: np.ndarray, theta_b: np.ndarray, dataset: Dataset
-    ) -> float:
-        """``1 − cosine`` between loading matrices after rotation alignment.
-
-        The PPCA likelihood is invariant under right-rotation of the loading
-        matrix (``ΘΘᵀ`` is unchanged by ``Θ → ΘR`` for orthogonal R), so two
-        independently trained models can describe the *same* distribution
-        with differently rotated factors.  The paper's plain cosine metric
-        (Appendix C) implicitly assumes a consistent orientation; to keep
-        the metric meaningful for independently trained models we first
-        align the factors with the optimal orthogonal rotation (Procrustes)
-        and then take ``1 − cosine`` of the flattened matrices.  For the
-        parameter perturbations the estimators sample (no rotation), the
-        aligned and unaligned metrics coincide up to second order.
-        """
-        a = np.asarray(theta_a, dtype=np.float64)
-        b = np.asarray(theta_b, dtype=np.float64)
-        norm_a = float(np.linalg.norm(a))
-        norm_b = float(np.linalg.norm(b))
-        if norm_a == 0 or norm_b == 0:
-            return 1.0
-        Theta_a = self.reshape(a, dataset.n_features)
-        Theta_b = self.reshape(b, dataset.n_features)
-        # Orthogonal Procrustes: R = U Vᵀ from the SVD of Θ_aᵀ Θ_b maximises
-        # <Θ_a R, Θ_b>, and that maximum inner product is the sum of the
-        # singular values of Θ_aᵀ Θ_b.
-        singular_values = np.linalg.svd(Theta_a.T @ Theta_b, compute_uv=False)
-        cosine = float(singular_values.sum()) / (norm_a * norm_b)
-        return 1.0 - min(cosine, 1.0)
-
-    def _batched_procrustes_differences(
-        self,
-        loadings_a: np.ndarray,
-        loadings_b: np.ndarray,
-        norms_a: np.ndarray,
-        norms_b: np.ndarray,
-    ) -> np.ndarray:
-        """Aligned ``1 − cosine`` for matched ``(k, d, q)`` loading stacks.
-
-        The k cross-products are one batched q×q GEMM stack and the nuclear
-        norms come from one batched SVD — no per-pair Python loop.
-        """
-        differences = np.ones(loadings_a.shape[0])
-        valid = (norms_a > 0) & (norms_b > 0)
-        if not np.any(valid):
-            return differences
-        cross = loadings_a[valid].transpose(0, 2, 1) @ loadings_b[valid]  # (v, q, q)
-        singular_values = np.linalg.svd(cross, compute_uv=False)  # (v, q)
-        cosines = singular_values.sum(axis=1) / (norms_a[valid] * norms_b[valid])
-        differences[valid] = 1.0 - np.minimum(cosines, 1.0)
-        return differences
-
-    def prediction_differences(
-        self, theta_ref: np.ndarray, Thetas: np.ndarray, dataset: Dataset
-    ) -> np.ndarray:
-        theta_ref = np.asarray(theta_ref, dtype=np.float64)
-        loadings = self._loading_batch(Thetas, dataset.n_features)
-        norm_ref = float(np.linalg.norm(theta_ref))
-        if norm_ref == 0:
-            return np.ones(loadings.shape[0])
-        reference = self.reshape(theta_ref, dataset.n_features)
-        references = np.broadcast_to(reference, loadings.shape)
-        norms = np.linalg.norm(loadings.reshape(loadings.shape[0], -1), axis=1)
-        return self._batched_procrustes_differences(
-            references, loadings, np.full(loadings.shape[0], norm_ref), norms
-        )
-
-    def pairwise_prediction_differences(
-        self, Thetas_a: np.ndarray, Thetas_b: np.ndarray, dataset: Dataset
-    ) -> np.ndarray:
-        Thetas_a, Thetas_b = self._as_paired_batches(Thetas_a, Thetas_b)
-        loadings_a = self._loading_batch(Thetas_a, dataset.n_features)
-        loadings_b = self._loading_batch(Thetas_b, dataset.n_features)
-        norms_a = np.linalg.norm(loadings_a.reshape(loadings_a.shape[0], -1), axis=1)
-        norms_b = np.linalg.norm(loadings_b.reshape(loadings_b.shape[0], -1), axis=1)
-        return self._batched_procrustes_differences(loadings_a, loadings_b, norms_a, norms_b)
-
-    # Streaming note: PPCA's diff lives in parameter space — the aligned
-    # ``1 − cosine`` metric depends only on the loading matrices
-    # (Appendix C), already O(k · d · q) in time and memory with no
-    # ``(k, n_holdout)`` block to shard.  The overrides below hand the
-    # driver a PrecomputedDiffAccumulator (``needs_holdout_blocks = False``)
-    # computed straight from the parameter batches; unlike the generic
-    # base-class fallback they never materialise the holdout, because the
-    # metric reads only ``dataset.n_features`` — which block sources
-    # (repro.data.store.ShardedDataset) expose without touching a row, so
-    # a PPCA session over an out-of-core holdout stays out of core.
-    def diff_accumulator(
-        self, theta_ref: np.ndarray, Thetas: np.ndarray, dataset: Dataset
-    ) -> DiffAccumulator:
-        return PrecomputedDiffAccumulator(
-            self.prediction_differences(theta_ref, Thetas, dataset)
-        )
-
-    def pairwise_diff_accumulator(
-        self, Thetas_a: np.ndarray, Thetas_b: np.ndarray, dataset: Dataset
-    ) -> DiffAccumulator:
-        return PrecomputedDiffAccumulator(
-            self.pairwise_prediction_differences(Thetas_a, Thetas_b, dataset)
-        )
 
     def describe(self) -> dict:
         description = super().describe()

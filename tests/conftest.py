@@ -14,6 +14,7 @@ import pytest
 from repro.data.dataset import Dataset
 from repro.data.splits import SplitSpec, train_holdout_test_split
 from repro.data.synthetic import criteo_like, gas_like, higgs_like, mnist_like
+from repro.models.base import ModelClassSpec
 
 
 @pytest.fixture(autouse=True)
@@ -136,3 +137,41 @@ def numerical_gradient(function, theta: np.ndarray, eps: float = 1e-6) -> np.nda
 def gradient_checker():
     """Expose the central-difference helper to tests as a fixture."""
     return numerical_gradient
+
+
+class _PredictOnlySpec(ModelClassSpec):
+    """A custom spec that supplies only ``predict`` and a metric kind."""
+
+    def n_parameters(self, dataset: Dataset) -> int:
+        return dataset.n_features
+
+    def loss(self, theta: np.ndarray, dataset: Dataset) -> float:
+        raise NotImplementedError
+
+    def per_example_gradients(self, theta: np.ndarray, dataset: Dataset) -> np.ndarray:
+        raise NotImplementedError
+
+
+class _SignClassifierSpec(_PredictOnlySpec):
+    """Logistic regression's label rule, one ``predict`` per θ."""
+
+    diff_kind = "disagreement"
+
+    def predict(self, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
+        return (np.asarray(X) @ theta >= 0).astype(np.int64)
+
+
+class _LinearPredictorSpec(_PredictOnlySpec):
+    """Linear regression's predictions and normalised RMS metric."""
+
+    diff_kind = "rms"
+    normalize_difference = True
+
+    def predict(self, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
+        return np.asarray(X) @ theta
+
+
+@pytest.fixture(scope="session")
+def predict_only_specs() -> dict:
+    """Custom specs declaring only ``predict`` plus a diff kind, by kind."""
+    return {"disagreement": _SignClassifierSpec(), "rms": _LinearPredictorSpec()}

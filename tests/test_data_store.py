@@ -49,7 +49,6 @@ from repro.evaluation.streaming import (
     streaming_prediction_differences,
 )
 from repro.exceptions import DataError, ModelSpecError
-from repro.models.base import ModelClassSpec
 from repro.models.linear_regression import LinearRegressionSpec
 from repro.models.logistic_regression import LogisticRegressionSpec
 
@@ -596,21 +595,32 @@ class TestStreamingParity:
         )
         assert np.array_equal(threaded, processed)
 
-    def test_generic_fallback_materializes_sharded_source(self, cls_data, tmp_path):
-        class NoStreamingSpec(LogisticRegressionSpec):
-            """A custom spec without streaming decompositions."""
-
-            diff_accumulator = ModelClassSpec.diff_accumulator
-            pairwise_diff_accumulator = ModelClassSpec.pairwise_diff_accumulator
-
-        sharded = write_store(cls_data, tmp_path, shard_rows=300)
-        spec = NoStreamingSpec(regularization=1e-3)
-        theta, Thetas, _ = sampled_parameters(cls_data.n_features)
-        expected = spec.prediction_differences(theta, Thetas, cls_data)
-        actual = streaming_prediction_differences(
-            spec, theta, Thetas, sharded, StreamingConfig(block_rows=128)
+    @pytest.mark.parametrize("config", BACKENDS[:2], ids=["serial", "threads"])
+    def test_generic_spec_streams_sharded_source(
+        self, cls_data, reg_data, tmp_path, config, predict_only_specs
+    ):
+        # A custom spec declaring only ``predict`` and a diff kind streams a
+        # sharded holdout block by block, with the built-in family's result.
+        cases = (
+            ("disagreement", cls_data, LogisticRegressionSpec()),
+            ("rms", reg_data, LinearRegressionSpec()),
         )
-        assert np.array_equal(actual, expected)
+        for kind, data, builtin in cases:
+            sharded = write_store(data, tmp_path / kind, shard_rows=300)
+            theta, Thetas, Thetas_b = sampled_parameters(data.n_features)
+            custom = predict_only_specs[kind]
+            actual = streaming_prediction_differences(custom, theta, Thetas, sharded, config)
+            actual_pair = streaming_pairwise_prediction_differences(
+                custom, Thetas, Thetas_b, sharded, config
+            )
+            expected = builtin.prediction_differences(theta, Thetas, data)
+            expected_pair = builtin.pairwise_prediction_differences(Thetas, Thetas_b, data)
+            if kind == "disagreement":
+                assert np.array_equal(actual, expected)
+                assert np.array_equal(actual_pair, expected_pair)
+            else:
+                np.testing.assert_allclose(actual, expected, atol=1e-12)
+                np.testing.assert_allclose(actual_pair, expected_pair, atol=1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -708,9 +718,13 @@ class TestAccumulatorTransport:
         expected = spec.prediction_differences(theta, Thetas, cls_data)
         assert np.array_equal(full.finalize(), expected)
 
-    def test_specs_pickle_without_their_thread_local_memo(self):
+    def test_specs_pickle_roundtrip(self, cls_data):
+        # The process backend ships specs to its workers.
         spec = LogisticRegressionSpec(regularization=1e-3)
-        spec._reference_predictions(np.zeros(3), np.ones((4, 3)))  # warm the memo
         clone = pickle.loads(pickle.dumps(spec))
-        assert clone.regularization == spec.regularization
-        assert clone._reference_cache.entry is None
+        assert vars(clone) == vars(spec)
+        theta, Thetas, _ = sampled_parameters(cls_data.n_features)
+        assert np.array_equal(
+            clone.prediction_differences(theta, Thetas, cls_data),
+            spec.prediction_differences(theta, Thetas, cls_data),
+        )

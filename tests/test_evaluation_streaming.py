@@ -18,11 +18,7 @@ from repro.evaluation.streaming import (
     streaming_prediction_differences,
 )
 from repro.exceptions import DataError, ModelSpecError
-from repro.models.base import (
-    BlockSumDiffAccumulator,
-    ModelClassSpec,
-    PrecomputedDiffAccumulator,
-)
+from repro.models.base import BlockSumDiffAccumulator, PrecomputedDiffAccumulator
 from repro.models.linear_regression import LinearRegressionSpec
 from repro.models.logistic_regression import LogisticRegressionSpec
 from repro.models.max_entropy import MaxEntropySpec
@@ -116,33 +112,30 @@ class TestStreamingMatchesMaterialised:
 
 
 class TestGenericFallback:
-    def test_custom_spec_without_overrides_still_works(self):
-        # A custom ModelClassSpec that only implements the scalar interface
-        # gets the materialised fallback accumulator: correct results, no
-        # memory bound.
-        class LoopOnlySpec(LinearRegressionSpec):
-            diff_accumulator = ModelClassSpec.diff_accumulator
-            pairwise_diff_accumulator = ModelClassSpec.pairwise_diff_accumulator
-
-        spec, holdout, p = _CACHE["lin"]
-        loop_spec = LoopOnlySpec()
-        theta_ref, Thetas, Thetas_b = _parameter_batches(p, seed=34)
-        np.testing.assert_allclose(
-            streaming_prediction_differences(
-                loop_spec, theta_ref, Thetas, holdout,
-                config=StreamingConfig(block_rows=13, n_workers=2),
-            ),
-            spec.prediction_differences(theta_ref, Thetas, holdout),
-            atol=1e-12,
-        )
-        np.testing.assert_allclose(
-            streaming_pairwise_prediction_differences(
-                loop_spec, Thetas, Thetas_b, holdout,
-                config=StreamingConfig(block_rows=13),
-            ),
-            spec.pairwise_prediction_differences(Thetas, Thetas_b, holdout),
-            atol=1e-12,
-        )
+    def test_custom_spec_without_overrides_still_works(self, predict_only_specs):
+        # A custom spec that declares only ``predict`` and a diff kind gets
+        # every diff entry point from the base class, streamed block by
+        # block: equal to the built-in family (bitwise for disagreement
+        # counts, 1e-12 for RMS).
+        config = StreamingConfig(block_rows=13, n_workers=2)
+        for kind, family in (("disagreement", "lr"), ("rms", "lin")):
+            spec, holdout, p = _CACHE[family]
+            custom = predict_only_specs[kind]
+            theta_ref, Thetas, Thetas_b = _parameter_batches(p, seed=34)
+            streamed = streaming_prediction_differences(
+                custom, theta_ref, Thetas, holdout, config=config
+            )
+            paired = streaming_pairwise_prediction_differences(
+                custom, Thetas, Thetas_b, holdout, config=config
+            )
+            expected = spec.prediction_differences(theta_ref, Thetas, holdout)
+            expected_pair = spec.pairwise_prediction_differences(Thetas, Thetas_b, holdout)
+            if kind == "disagreement":
+                assert np.array_equal(streamed, expected)
+                assert np.array_equal(paired, expected_pair)
+            else:
+                np.testing.assert_allclose(streamed, expected, atol=1e-12)
+                np.testing.assert_allclose(paired, expected_pair, atol=1e-12)
 
 
 class TestMetricsRouting:

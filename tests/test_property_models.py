@@ -9,8 +9,10 @@ well-formed dataset, not just the hand-picked cases of the unit tests:
 * classification losses decrease along the negative gradient (descent
   direction sanity);
 * the batched diff engine (``predict_many`` / ``prediction_differences`` /
-  ``pairwise_prediction_differences``) agrees with the per-pair loop path
-  to 1e-12 for every model family and random θ batch.
+  ``pairwise_prediction_differences``) and the scalar diff agree with a
+  plain per-pair loop over ``predict`` (the Appendix C formulas, kept here
+  as the reference) to 1e-12 for every model family and random θ batch;
+* classifiers label a row identically on the scalar and batched paths.
 """
 
 import numpy as np
@@ -19,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.dataset import Dataset
-from repro.models.base import ModelClassSpec
 from repro.models.linear_regression import LinearRegressionSpec
 from repro.models.logistic_regression import LogisticRegressionSpec
 from repro.models.max_entropy import MaxEntropySpec
@@ -213,17 +214,36 @@ BATCHED_FAMILIES = {
 }
 
 
+def _loop_difference(spec, theta_a, theta_b, data):
+    """Reference ``diff`` of one pair, straight from the Appendix C formulas."""
+    if spec.diff_kind == "subspace":
+        norm_a, norm_b = np.linalg.norm(theta_a), np.linalg.norm(theta_b)
+        if norm_a == 0 or norm_b == 0:
+            return 1.0
+        Theta_a = theta_a.reshape(data.n_features, -1)
+        Theta_b = theta_b.reshape(data.n_features, -1)
+        # Rotation-aligned cosine: the nuclear norm of Θ_aᵀ Θ_b.
+        aligned = np.linalg.svd(Theta_a.T @ Theta_b, compute_uv=False).sum()
+        return 1.0 - min(aligned / (norm_a * norm_b), 1.0)
+    predictions_a = spec.predict(theta_a, data.X)
+    predictions_b = spec.predict(theta_b, data.X)
+    if spec.diff_kind == "disagreement":
+        return float(np.mean(predictions_a != predictions_b))
+    scale = (float(np.std(data.y)) or 1.0) if spec.normalize_difference else 1.0
+    return float(np.sqrt(np.mean((predictions_a - predictions_b) ** 2))) / scale
+
+
 def _assert_batched_matches_loop(spec, data, theta_ref, batch_a, batch_b):
-    """The vectorised overrides must agree with the base-class loop path."""
+    """The derived diff entry points must agree with the per-pair loop."""
     batched = spec.prediction_differences(theta_ref, batch_a, data)
-    loop = ModelClassSpec.prediction_differences(spec, theta_ref, batch_a, data)
+    loop = [_loop_difference(spec, theta_ref, theta, data) for theta in batch_a]
     np.testing.assert_allclose(batched, loop, atol=1e-12)
 
     paired = spec.pairwise_prediction_differences(batch_a, batch_b, data)
-    paired_loop = ModelClassSpec.pairwise_prediction_differences(
-        spec, batch_a, batch_b, data
-    )
+    paired_loop = [_loop_difference(spec, a, b, data) for a, b in zip(batch_a, batch_b)]
     np.testing.assert_allclose(paired, paired_loop, atol=1e-12)
+    scalar = [spec.prediction_difference(a, b, data) for a, b in zip(batch_a, batch_b)]
+    np.testing.assert_allclose(scalar, paired_loop, atol=1e-12)
 
     many = spec.predict_many(batch_a, data.X)
     stacked = np.stack([spec.predict(theta, data.X) for theta in batch_a])
@@ -266,7 +286,7 @@ class TestBatchedDifferenceConsistency:
         ref = np.random.default_rng(0).normal(size=6)
         batch = np.vstack([np.zeros(6), np.random.default_rng(1).normal(size=6)])
         batched = spec.prediction_differences(ref, batch, data)
-        loop = ModelClassSpec.prediction_differences(spec, ref, batch, data)
+        loop = [_loop_difference(spec, ref, theta, data) for theta in batch]
         np.testing.assert_allclose(batched, loop, atol=1e-12)
         zero_ref = spec.prediction_differences(np.zeros(6), batch, data)
         np.testing.assert_allclose(zero_ref, np.ones(2))
@@ -278,3 +298,27 @@ class TestBatchedDifferenceConsistency:
         data = Dataset(np.ones((4, 3)), np.zeros(4))
         with pytest.raises(ModelSpecError):
             spec.pairwise_prediction_differences(np.ones((2, 3)), np.ones((3, 3)), data)
+
+
+class TestScalarMatchesBatchedLabels:
+    def test_classifier_labels_and_diffs_match_bitwise(self):
+        # Near-zero logits used to split the paths: LR thresholded σ(z),
+        # which rounds to 0.5 for z = -1e-17, and ME took the softmax
+        # argmax in predict but the logit argmax in predict_many.
+        X = np.array([[1.0]])
+        data = Dataset(X, np.array([0]))
+        lr = LogisticRegressionSpec()
+        lr_theta = np.array([-1e-17])
+        assert lr.predict(lr_theta, X)[0] == 0
+        me = MaxEntropySpec(n_classes=2)
+        me_a, me_b = np.array([0.0, 1e-300]), np.array([1e-300, 0.0])
+        assert me.prediction_difference(me_a, me_b, data) == 1.0
+        for spec, theta_a, theta_b in ((lr, lr_theta, -lr_theta), (me, me_a, me_b)):
+            for theta in (theta_a, theta_b):
+                assert np.array_equal(
+                    spec.predict(theta, X), spec.predict_many(theta[None, :], X)[0]
+                )
+            pairwise = spec.pairwise_prediction_differences(
+                theta_a[None, :], theta_b[None, :], data
+            )
+            assert spec.prediction_difference(theta_a, theta_b, data) == pairwise[0]
