@@ -214,16 +214,6 @@ DEFAULT_WARM_CACHE_MAX_BYTES = _env_int(
 )
 DEFAULT_WARM_CACHE_WRITE_BEHIND = _env_int("DEFAULT_WARM_CACHE_WRITE_BEHIND", 1)
 
-# How many candidate sample sizes the sample-size search evaluates per
-# stacked Monte-Carlo pass (ROADMAP "batched two-stage probes").  1 keeps
-# the classic bisection; the coordinator/session default trades a little
-# extra compute per pass for ~log_{b+1} instead of log_2 passes.
-# Env-overridable like the other serving knobs; values below 1 fall back
-# to the default (the session/coordinator boundary rejects them outright).
-DEFAULT_SIZE_SEARCH_PROBE_BATCH = _env_int(
-    "DEFAULT_SIZE_SEARCH_PROBE_BATCH", 3, minimum=1
-)
-
 # Request-coalescing serving tier (repro.serving).  A ContractBatcher
 # collects concurrent answer()/train_to() requests against one session for
 # a short window and dispatches them as one fused evaluation — identical

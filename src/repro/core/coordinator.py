@@ -17,12 +17,9 @@ savings of Figure 5 come from.
 Since the session refactor the workflow itself lives in
 :class:`repro.core.session.EstimationSession`; :class:`BlinkML` only
 assembles a session per ``train()`` call.  ``train()`` stays deterministic
-per seed, and with ``probe_batch=1`` it reproduces the pre-refactor
-monolithic coordinator exactly (same seeds → same outputs).  The default
-``probe_batch`` > 1 changes only the sample-size-search probe schedule —
-under the Theorem 2 monotonicity the search relies on, both schedules land
-on the same minimum n.  Serving deployments hold a session open and answer
-many contracts from its caches (see :meth:`BlinkML.session`).
+per seed and reproduces the pre-refactor monolithic coordinator exactly
+(same seeds → same outputs).  Serving deployments hold a session open
+and answer many contracts from its caches (see :meth:`BlinkML.session`).
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ from repro.config import (
     DEFAULT_DELTA,
     DEFAULT_INITIAL_SAMPLE_SIZE,
     DEFAULT_NUM_PARAMETER_SAMPLES,
-    DEFAULT_SIZE_SEARCH_PROBE_BATCH,
 )
 import numpy as np
 
@@ -41,7 +37,6 @@ from repro.core.session import EstimationSession
 from repro.core.statistics import StatisticsMethod
 from repro.data.dataset import Dataset
 from repro.evaluation.streaming import StreamingConfig
-from repro.exceptions import SampleSizeError
 from repro.models.base import ModelClassSpec, TrainedModel
 
 
@@ -68,9 +63,6 @@ class BlinkML:
     streaming:
         Holdout sharding configuration for the streamed diff evaluations
         (``None`` uses the module default block size, serial).
-    probe_batch:
-        Candidate sample sizes evaluated per stacked sample-size-search
-        pass (1 restores the paper's plain bisection).
     """
 
     def __init__(
@@ -83,7 +75,6 @@ class BlinkML:
         seed: int | None = None,
         optimizer_kwargs: dict | None = None,
         streaming: StreamingConfig | None = None,
-        probe_batch: int = DEFAULT_SIZE_SEARCH_PROBE_BATCH,
     ):
         self.spec = spec
         self.initial_sample_size = int(initial_sample_size)
@@ -92,13 +83,6 @@ class BlinkML:
         self.optimizer = optimizer
         self.optimizer_kwargs = dict(optimizer_kwargs or {})
         self.streaming = streaming
-        self.probe_batch = int(probe_batch)
-        if self.probe_batch < 1:
-            raise SampleSizeError(
-                f"probe_batch must be at least 1, got {self.probe_batch} "
-                "(1 = paper bisection; larger values stack candidates per "
-                "size-search pass)"
-            )
         self._rng = np.random.default_rng(seed)
 
     # ------------------------------------------------------------------
@@ -123,7 +107,6 @@ class BlinkML:
             optimizer=self.optimizer,
             optimizer_kwargs=self.optimizer_kwargs,
             streaming=self.streaming,
-            probe_batch=self.probe_batch,
             rng=self._rng,
         )
 
@@ -139,9 +122,8 @@ class BlinkML:
         """Train an approximate model satisfying ``contract``.
 
         Each call runs the full one-shot workflow in a fresh session:
-        deterministic per seed, and identical to the pre-session coordinator
-        when ``probe_batch=1`` (the default batched probes change only the
-        search schedule).  To amortise the initial model across contracts,
+        deterministic per seed, and identical to the pre-session
+        coordinator.  To amortise the initial model across contracts,
         keep the :meth:`session` instead.
 
         Parameters

@@ -7,32 +7,25 @@ the approximation contract — without training any additional model.
 For a candidate n the probability ``Pr[v(m_n, m_N) ≤ ε]`` is estimated via
 the two-stage sampling of Section 4.1 (θ_n | θ_0, then θ_N | θ_n) and the
 conservative correction of Lemma 2.  Theorem 2 shows this probability is
-increasing in n, which justifies the bracketing search of Section 4.2.
+increasing in n, which justifies the bisection of Section 4.2.
 
-Two implementation-level optimisations sit on top of the paper's search:
+Two implementation-level choices sit on top of the paper's search:
 
 * the per-candidate pairwise diffs run through the streaming sharded
   holdout engine (:mod:`repro.evaluation.streaming`), so memory stays
   O(k · block) regardless of holdout size;
-* with ``probe_batch > 1`` each search round evaluates several candidate
-  sizes in a *single stacked pass* — the two-stage draws of all candidates
-  share the same cached base samples (sampling-by-scaling), so stacking
-  them into one ``(batch · k)``-candidate diff evaluation amortises the
-  per-pass overhead and cuts the number of passes from log₂ to
-  log_{batch+1} of the search range;
-* the per-round batch is **adaptive** (:func:`adaptive_probe_count`):
-  ``probe_batch`` is a ceiling, and each round stacks only as many
-  candidates as still pay for themselves given the current bracket width —
-  a bracket the full batch would over-resolve gets a smaller stack with
-  the *same* number of passes, so tiny brackets stop paying for
-  Monte-Carlo evaluations that cannot narrow them further.
+* one lockstep bisection serves every caller: :meth:`SampleSizeEstimator.estimate`
+  runs it for one contract and :meth:`SampleSizeEstimator.estimate_many`
+  for several, whose midpoints of one round share a single streamed
+  pass.  Each contract's bisection is the same either way, so a fused
+  member's answer is bitwise what its lone search returns.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from collections.abc import Sequence
+from collections.abc import Generator, Sequence
 
 import numpy as np
 
@@ -85,8 +78,8 @@ class SampleSizeEstimate:
         False when even n = N did not certify the contract through the
         Monte-Carlo check (the coordinator then trains on the full data).
     n_probability_evaluations:
-        How many candidate sizes were Monte-Carlo-evaluated in total (with
-        ``probe_batch > 1`` several of these happen per stacked pass).
+        How many candidate sizes were Monte-Carlo-evaluated in total (one
+        per bisection round).
     probed_sizes:
         The candidate n values actually Monte-Carlo-evaluated, in order
         (diagnostics).  With ``skip_lower_probe`` the lower endpoint ``n0``
@@ -135,60 +128,42 @@ class FusedSizeSearch:
         return self.serial_passes - self.fused_passes
 
 
-def adaptive_probe_count(span: int, probe_batch: int) -> int:
-    """Candidates to stack this round for a bracket of width ``span``.
+def _check_sizes(n0: int, N: int) -> None:
+    if n0 <= 0 or N <= 0:
+        raise SampleSizeError("sample sizes must be positive")
+    if n0 > N:
+        raise SampleSizeError(f"initial sample size {n0} exceeds N={N}")
 
-    ``probe_batch`` candidates narrow a bracket by a factor of
-    ``probe_batch + 1`` per pass, so a bracket of width ``span`` resolves
-    in ``r = ceil(log_{probe_batch+1}(span))`` passes.  The full batch is
-    only worth stacking while the bracket is wide: once ``span`` is small,
-    fewer candidates finish in the *same* ``r`` passes.  This returns the
-    smallest per-round count ``b`` with ``(b + 1)^r >= span`` — never more
-    passes than the fixed policy, never more stacked Monte-Carlo
-    evaluations than the bracket can use (ROADMAP "adaptive probe
-    batching").
 
-    Edge cases are explicit rather than emergent from the cap arithmetic:
-    a resolved bracket (``span <= 1``) needs no candidates at all; a
-    width-2 bracket has exactly one interior point regardless of how large
-    ``probe_batch`` is; a ``probe_batch`` of 1 is the classic bisection
-    midpoint whatever the width.  ``probe_batch < 1`` is a caller bug and
-    raises (the session/coordinator boundary validates it too).
+def _bisection(
+    n0: int, N: int, skip_lower_probe: bool
+) -> Generator[int, bool, tuple[int, bool]]:
+    """The paper's bisection over ``[n0, N]`` for one contract, as a coroutine.
 
-    Examples with ``probe_batch=3``: a width-1024 bracket stacks 3 (5
-    passes either way), a width-9 bracket stacks 2 instead of 3 (2 passes
-    either way), a width-2 bracket stacks the single useful midpoint.
+    Yields each candidate n to Monte-Carlo-check, receives whether it
+    satisfies the contract, and returns ``(sample_size, feasible)``.  The
+    caller decides how candidates are evaluated, so one loop
+    (:meth:`SampleSizeEstimator._lockstep`) runs any number of these side
+    by side.
     """
-    if probe_batch < 1:
-        raise SampleSizeError(
-            f"probe_batch must be at least 1, got {probe_batch}"
-        )
-    if span <= 1:
-        # Bracket already resolved: nothing left to probe.
-        return 0
-    if span == 2 or probe_batch == 1:
-        # A width-2 bracket has exactly one interior point; bisection
-        # stacks exactly one midpoint however wide the bracket is.
-        return 1
-    cap = min(probe_batch, span - 1)
-    rounds = 1
-    while (cap + 1) ** rounds < span:
-        rounds += 1
-    count = 1
-    while (count + 1) ** rounds < span:
-        count += 1
-    return min(count, cap)
-
-
-def _bracket_candidates(low: int, high: int, count: int) -> list[int]:
-    """The ``count`` evenly spaced interior candidates of ``(low, high)``.
-
-    Shared by the serial search and the fused lockstep search so both
-    schedule byte-identical probe sequences — the foundation of the exact
-    ``passes_saved`` accounting.
-    """
-    span = high - low
-    return sorted({low + (span * (j + 1)) // (count + 1) for j in range(count)})
+    # Quick exits: if n0 already satisfies, the coordinator will have
+    # caught it via the accuracy estimator, but the search still handles
+    # it gracefully; if even N fails the Monte-Carlo check, fall back to
+    # the full data.
+    if not skip_lower_probe and (yield n0):
+        return n0, True
+    if not (yield N):
+        return N, False
+    # Invariant: low fails, high satisfies.  Theorem 2 (monotonicity)
+    # makes halving the bracket valid.
+    low, high = n0, N
+    while high - low > 1:
+        middle = low + (high - low) // 2
+        if (yield middle):
+            high = middle
+        else:
+            low = middle
+    return high, True
 
 
 class SampleSizeEstimator:
@@ -225,9 +200,12 @@ class SampleSizeEstimator:
         sampler: ParameterSampler,
     ) -> bool:
         """Monte-Carlo check of ``Pr[v(m_n, m_N) ≤ ε] ≥ 1 − δ`` for one n."""
-        return self.contract_satisfied_batch(
-            theta0, n0, (candidate_n,), N, contract, sampler
-        )[0]
+        (differences,) = self.candidate_differences_batch(
+            theta0, n0, (candidate_n,), N, sampler
+        )
+        return satisfies_probability_threshold(
+            differences, contract.epsilon, contract.delta
+        )
 
     def candidate_differences_batch(
         self,
@@ -264,36 +242,8 @@ class SampleSizeEstimator:
             self._spec, segments, self._holdout, config=self._streaming
         )
 
-    def contract_satisfied_batch(
-        self,
-        theta0: np.ndarray,
-        n0: int,
-        candidate_ns: Sequence[int],
-        N: int,
-        contract: ApproximationContract,
-        sampler: ParameterSampler,
-    ) -> list[bool]:
-        """Monte-Carlo check of several candidate sizes in one streamed pass.
-
-        A thin threshold layer over :meth:`candidate_differences_batch`
-        (the ROADMAP "batched two-stage probes"): evaluate every candidate's
-        segment in one fan-out pass, then apply the contract's Lemma 2
-        threshold per candidate.
-        """
-        if not candidate_ns:
-            return []
-        differences = self.candidate_differences_batch(
-            theta0, n0, candidate_ns, N, sampler
-        )
-        return [
-            satisfies_probability_threshold(
-                vector, contract.epsilon, contract.delta
-            )
-            for vector in differences
-        ]
-
     # ------------------------------------------------------------------
-    # Bracketing search (Section 4.2, batched probes)
+    # Bisection (Section 4.2), one contract or several in lockstep
     # ------------------------------------------------------------------
     def estimate(
         self,
@@ -304,7 +254,6 @@ class SampleSizeEstimator:
         statistics: ModelStatistics,
         sampler: ParameterSampler | None = None,
         skip_lower_probe: bool = False,
-        probe_batch: int = 1,
     ) -> SampleSizeEstimate:
         """Search the smallest n in [n0, N] satisfying the contract.
 
@@ -333,27 +282,13 @@ class SampleSizeEstimator:
             upper endpoint ``N`` and never contains ``n0``; if ``n0``
             actually satisfies the contract the search conservatively
             returns a size in ``(n0, N]`` instead of ``n0``.
-        probe_batch:
-            Ceiling on candidate sizes evaluated per stacked Monte-Carlo
-            pass.  1 is the classic bisection (one midpoint per round);
-            larger values place up to that many evenly spaced candidates
-            inside the bracket and evaluate them in one pass, narrowing
-            the bracket by a factor of ``batch + 1`` per round under the
-            Theorem 2 monotonicity.  The per-round count adapts to the
-            bracket width (:func:`adaptive_probe_count`): narrow brackets
-            stack fewer candidates without taking extra passes.
         """
-        if n0 <= 0 or N <= 0:
-            raise SampleSizeError("sample sizes must be positive")
-        if n0 > N:
-            raise SampleSizeError(f"initial sample size {n0} exceeds N={N}")
-        if probe_batch < 1:
-            raise SampleSizeError("probe_batch must be at least 1")
+        _check_sizes(n0, N)
         sampler = sampler or ParameterSampler(statistics)
         if not obs_enabled():
-            return self._estimate_impl(
-                theta0, n0, N, contract, sampler, skip_lower_probe, probe_batch
-            )
+            return self._lockstep(
+                theta0, n0, N, [contract], sampler, skip_lower_probe, "serial"
+            ).estimates[0]
         with maybe_span(
             "size_search.estimate",
             epsilon=contract.epsilon,
@@ -361,81 +296,15 @@ class SampleSizeEstimator:
             n0=n0,
             N=N,
         ) as span:
-            estimate = self._estimate_impl(
-                theta0, n0, N, contract, sampler, skip_lower_probe, probe_batch
-            )
+            estimate = self._lockstep(
+                theta0, n0, N, [contract], sampler, skip_lower_probe, "serial"
+            ).estimates[0]
             if span is not None:
                 span.set_attribute("sample_size", estimate.sample_size)
                 span.set_attribute("feasible", estimate.feasible)
         _SEARCHES_TOTAL.inc(1, mode="serial")
         return estimate
 
-    def _estimate_impl(
-        self,
-        theta0: np.ndarray,
-        n0: int,
-        N: int,
-        contract: ApproximationContract,
-        sampler: ParameterSampler,
-        skip_lower_probe: bool,
-        probe_batch: int,
-    ) -> SampleSizeEstimate:
-        start = time.perf_counter()
-        telemetry = obs_enabled()
-        probed: list[int] = []
-
-        def satisfied(candidate: int) -> bool:
-            if telemetry:
-                _SEARCH_ROUNDS.inc(1, mode="serial")
-            probed.append(candidate)
-            return self.contract_satisfied(theta0, n0, candidate, N, contract, sampler)
-
-        def finish(sample_size: int, feasible: bool) -> SampleSizeEstimate:
-            return SampleSizeEstimate(
-                sample_size=sample_size,
-                feasible=feasible,
-                n_probability_evaluations=len(probed),
-                probed_sizes=tuple(probed),
-                estimation_seconds=time.perf_counter() - start,
-            )
-
-        # Quick exits: if n0 already satisfies, the coordinator will have
-        # caught it via the accuracy estimator, but the search still handles
-        # it gracefully; if even N fails the Monte-Carlo check, fall back to
-        # the full data.
-        low, high = n0, N
-        if not skip_lower_probe and satisfied(low):
-            return finish(low, True)
-        if not satisfied(high):
-            return finish(N, False)
-
-        # Invariant: low fails, high satisfies.  Theorem 2 (monotonicity)
-        # makes the bracket narrowing valid; with probe_batch == 1 the loop
-        # is exactly the paper's bisection.
-        while high - low > 1:
-            count = adaptive_probe_count(high - low, probe_batch)
-            candidates = _bracket_candidates(low, high, count)
-            probed.extend(candidates)
-            if telemetry:
-                _SEARCH_ROUNDS.inc(1, mode="serial")
-            outcomes = self.contract_satisfied_batch(
-                theta0, n0, candidates, N, contract, sampler
-            )
-            first_true = next(
-                (i for i, outcome in enumerate(outcomes) if outcome), None
-            )
-            if first_true is None:
-                low = candidates[-1]
-            else:
-                high = candidates[first_true]
-                if first_true > 0:
-                    low = candidates[first_true - 1]
-
-        return finish(high, True)
-
-    # ------------------------------------------------------------------
-    # Fused multi-contract search (request coalescing)
-    # ------------------------------------------------------------------
     def estimate_many(
         self,
         theta0: np.ndarray,
@@ -445,18 +314,14 @@ class SampleSizeEstimator:
         statistics: ModelStatistics,
         sampler: ParameterSampler | None = None,
         skip_lower_probe: bool = False,
-        probe_batch: int = 1,
     ) -> FusedSizeSearch:
         """Run several contracts' searches in lockstep, sharing each round's pass.
 
-        The cross-caller generalisation of ``probe_batch``: where the serial
-        search stacks one *caller's* candidates into a round, this stacks
-        one *round's* candidates across every active search.  Each member
-        search follows exactly the bracket trajectory it would follow alone
-        — same endpoint probes, same :func:`adaptive_probe_count` schedule,
-        same narrowing decisions — but all searches still active at a given
-        round contribute their candidates to one deduplicated union, which
-        is evaluated as a single fan-out streamed pass
+        Each member search follows exactly the bisection it would follow
+        alone — same endpoint probes, same midpoints, same narrowing
+        decisions — but all searches still active at a given round
+        contribute their midpoints to one deduplicated union, which is
+        evaluated as a single fan-out streamed pass
         (:meth:`candidate_differences_batch`).  Per-candidate segmentation
         makes the demultiplexed outcomes bitwise identical to serial runs,
         so the member estimates (sample size, feasibility, probe schedule)
@@ -471,21 +336,14 @@ class SampleSizeEstimator:
         :class:`FusedSizeSearch` with the per-contract estimates in input
         order plus the exact fused/serial pass accounting.
         """
-        if n0 <= 0 or N <= 0:
-            raise SampleSizeError("sample sizes must be positive")
-        if n0 > N:
-            raise SampleSizeError(f"initial sample size {n0} exceeds N={N}")
-        if probe_batch < 1:
-            raise SampleSizeError(
-                f"probe_batch must be at least 1, got {probe_batch}"
-            )
+        _check_sizes(n0, N)
         contracts = list(contracts)
         if not contracts:
             return FusedSizeSearch(estimates=(), fused_passes=0, serial_passes=0)
         sampler = sampler or ParameterSampler(statistics)
         if not obs_enabled():
-            return self._estimate_many_impl(
-                theta0, n0, N, contracts, sampler, skip_lower_probe, probe_batch
+            return self._lockstep(
+                theta0, n0, N, contracts, sampler, skip_lower_probe, "fused"
             )
         with maybe_span(
             "size_search.estimate_many",
@@ -493,8 +351,8 @@ class SampleSizeEstimator:
             n0=n0,
             N=N,
         ) as span:
-            outcome = self._estimate_many_impl(
-                theta0, n0, N, contracts, sampler, skip_lower_probe, probe_batch
+            outcome = self._lockstep(
+                theta0, n0, N, contracts, sampler, skip_lower_probe, "fused"
             )
             if span is not None:
                 span.set_attribute("fused_passes", outcome.fused_passes)
@@ -503,7 +361,7 @@ class SampleSizeEstimator:
         _PASSES_SAVED_TOTAL.inc(outcome.passes_saved)
         return outcome
 
-    def _estimate_many_impl(
+    def _lockstep(
         self,
         theta0: np.ndarray,
         n0: int,
@@ -511,128 +369,55 @@ class SampleSizeEstimator:
         contracts: list[ApproximationContract],
         sampler: ParameterSampler,
         skip_lower_probe: bool,
-        probe_batch: int,
+        mode: str,
     ) -> FusedSizeSearch:
+        """One :func:`_bisection` per contract, each advancing one probe per round.
+
+        A round evaluates the union of the active searches' candidates in
+        one streamed pass and sends each search its own outcome; searches
+        drop out as their brackets resolve.  ``mode`` labels the round and
+        search counters (``"serial"`` for :meth:`estimate`).
+        """
         start = time.perf_counter()
         telemetry = obs_enabled()
-        searches = [_LockstepSearch(contract) for contract in contracts]
-        fused_passes = 0
-        serial_passes = 0
-
-        def evaluate(
-            active: list[tuple["_LockstepSearch", list[int]]],
-        ) -> list[list[bool]]:
-            """One fused round: union pass, per-search demultiplexed outcomes."""
-            nonlocal fused_passes, serial_passes
+        searches = [_bisection(n0, N, skip_lower_probe) for _ in contracts]
+        probed: list[list[int]] = [[] for _ in contracts]
+        results: list[tuple[int, bool]] = [(N, False)] * len(contracts)
+        # Every search probes at least N, so each yields a first candidate.
+        pending = {i: next(search) for i, search in enumerate(searches)}
+        fused_passes = serial_passes = 0
+        while pending:
             fused_passes += 1
-            serial_passes += len(active)
+            serial_passes += len(pending)
             if telemetry:
-                _SEARCH_ROUNDS.inc(1, mode="fused")
-            for search, candidates in active:
-                search.probed.extend(candidates)
-            if len(active) == 1:
-                # A lone search takes the exact serial path (including the
-                # overridable contract_satisfied_batch hook tests rely on).
-                search, candidates = active[0]
-                return [
-                    self.contract_satisfied_batch(
-                        theta0, n0, candidates, N, search.contract, sampler
-                    )
-                ]
-            union = sorted({c for _, candidates in active for c in candidates})
-            differences = self.candidate_differences_batch(
-                theta0, n0, union, N, sampler
+                _SEARCH_ROUNDS.inc(1, mode=mode)
+            union = sorted(set(pending.values()))
+            differences = dict(
+                zip(union, self.candidate_differences_batch(theta0, n0, union, N, sampler))
             )
-            index = {candidate: i for i, candidate in enumerate(union)}
-            return [
-                [
-                    satisfies_probability_threshold(
-                        differences[index[candidate]],
-                        search.contract.epsilon,
-                        search.contract.delta,
-                    )
-                    for candidate in candidates
-                ]
-                for search, candidates in active
-            ]
-
-        # Round 0a (optional): every search probes the lower endpoint n0.
-        if not skip_lower_probe:
-            active = [(search, [n0]) for search in searches]
-            for (search, _), outcomes in zip(active, evaluate(active)):
-                if outcomes[0]:
-                    search.finish(n0, True)
-
-        # Round 0b: remaining searches probe the upper endpoint N; a search
-        # the full data cannot certify falls back to N, infeasible.
-        pending = [search for search in searches if not search.done]
-        if pending:
-            active = [(search, [N]) for search in pending]
-            for (search, _), outcomes in zip(active, evaluate(active)):
-                if not outcomes[0]:
-                    search.finish(N, False)
-                else:
-                    search.low, search.high = n0, N
-
-        # Bracket rounds in lockstep: searches drop out as their brackets
-        # resolve; the survivors keep sharing one union pass per round.
-        while True:
-            active = []
-            for search in searches:
-                if search.done:
-                    continue
-                if search.high - search.low <= 1:
-                    search.finish(search.high, True)
-                    continue
-                count = adaptive_probe_count(search.high - search.low, probe_batch)
-                active.append(
-                    (search, _bracket_candidates(search.low, search.high, count))
+            for i, candidate in list(pending.items()):
+                probed[i].append(candidate)
+                satisfied = satisfies_probability_threshold(
+                    differences[candidate], contracts[i].epsilon, contracts[i].delta
                 )
-            if not active:
-                break
-            for (search, candidates), outcomes in zip(active, evaluate(active)):
-                first_true = next(
-                    (i for i, outcome in enumerate(outcomes) if outcome), None
-                )
-                if first_true is None:
-                    search.low = candidates[-1]
-                else:
-                    search.high = candidates[first_true]
-                    if first_true > 0:
-                        search.low = candidates[first_true - 1]
+                try:
+                    pending[i] = searches[i].send(satisfied)
+                except StopIteration as finished:
+                    del pending[i]
+                    results[i] = finished.value
 
         elapsed = time.perf_counter() - start
         return FusedSizeSearch(
-            estimates=tuple(search.estimate(elapsed) for search in searches),
+            estimates=tuple(
+                SampleSizeEstimate(
+                    sample_size=int(sample_size),
+                    feasible=feasible,
+                    n_probability_evaluations=len(sizes),
+                    probed_sizes=tuple(sizes),
+                    estimation_seconds=elapsed,
+                )
+                for (sample_size, feasible), sizes in zip(results, probed)
+            ),
             fused_passes=fused_passes,
             serial_passes=serial_passes,
-        )
-
-
-class _LockstepSearch:
-    """Mutable per-contract state threaded through one fused search."""
-
-    __slots__ = ("contract", "probed", "low", "high", "done", "sample_size", "feasible")
-
-    def __init__(self, contract: ApproximationContract) -> None:
-        self.contract = contract
-        self.probed: list[int] = []
-        self.low = 0
-        self.high = 0
-        self.done = False
-        self.sample_size = 0
-        self.feasible = True
-
-    def finish(self, sample_size: int, feasible: bool) -> None:
-        self.done = True
-        self.sample_size = int(sample_size)
-        self.feasible = feasible
-
-    def estimate(self, elapsed: float) -> SampleSizeEstimate:
-        return SampleSizeEstimate(
-            sample_size=self.sample_size,
-            feasible=self.feasible,
-            n_probability_evaluations=len(self.probed),
-            probed_sizes=tuple(self.probed),
-            estimation_seconds=elapsed,
         )

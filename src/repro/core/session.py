@@ -56,7 +56,6 @@ from repro.config import (
     DEFAULT_SESSION_DIFF_CACHE_ENTRIES,
     DEFAULT_SESSION_MODEL_CACHE_ENTRIES,
     DEFAULT_SESSION_SIZE_CACHE_ENTRIES,
-    DEFAULT_SIZE_SEARCH_PROBE_BATCH,
     validate_delta,
 )
 from repro.core.accuracy import AccuracyEstimate, ModelAccuracyEstimator
@@ -86,7 +85,7 @@ from repro.data.store.warm_cache import (
     size_entry_key,
 )
 from repro.evaluation.streaming import StreamingConfig
-from repro.exceptions import BlinkMLError, DataError, SampleSizeError
+from repro.exceptions import BlinkMLError, DataError
 from repro.linalg.utils import freeze
 from repro.models.base import ModelClassSpec, TrainedModel
 from repro.obs import get_metrics, maybe_span, obs_enabled, pass_scope
@@ -238,9 +237,6 @@ class EstimationSession:
     streaming:
         Sharding configuration forwarded to both estimators (``None`` uses
         the module default).
-    probe_batch:
-        Candidate sizes per stacked sample-size-search pass (ROADMAP
-        "batched two-stage probes").
     rng:
         Seed or ``numpy.random.Generator``.  The facade passes its own
         generator so ``BlinkML.train()`` consumes randomness in exactly the
@@ -279,7 +275,6 @@ class EstimationSession:
         optimizer: str | None = None,
         optimizer_kwargs: dict | None = None,
         streaming: StreamingConfig | None = None,
-        probe_batch: int = DEFAULT_SIZE_SEARCH_PROBE_BATCH,
         rng: np.random.Generator | int | None = None,
         diff_cache_entries: int | None = DEFAULT_SESSION_DIFF_CACHE_ENTRIES,
         diff_cache_bytes: int | None = DEFAULT_SESSION_DIFF_CACHE_BYTES,
@@ -305,14 +300,6 @@ class EstimationSession:
         self.statistics_scope = statistics_scope
         self._optimizer = optimizer
         self._optimizer_kwargs = dict(optimizer_kwargs or {})
-        probe_batch = int(probe_batch)
-        if probe_batch < 1:
-            raise SampleSizeError(
-                f"probe_batch must be at least 1, got {probe_batch} "
-                "(1 = paper bisection; larger values stack candidates per "
-                "size-search pass)"
-            )
-        self._probe_batch = probe_batch
         self._n_parameter_samples = int(n_parameter_samples)
         self._streaming = streaming
         self._rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
@@ -576,7 +563,6 @@ class EstimationSession:
             n0=self._n0,
             N=self._N,
             k=self._n_parameter_samples,
-            probe_batch=self._probe_batch,
             epsilon=epsilon,
             delta=delta,
         )
@@ -892,7 +878,7 @@ class EstimationSession:
         if answer.satisfied:
             return self._initial_model_result(contract, answer, timings, metadata)
 
-        # Step 3: smallest n satisfying the contract (batched probes; the
+        # Step 3: smallest n satisfying the contract (bisection; the
         # accuracy estimate above already rejected n0, so skip re-probing it).
         # The search depends only on (ε, δ), so repeats are served cached;
         # single-flight ensures concurrent requests for the same contract
@@ -909,7 +895,6 @@ class EstimationSession:
                     statistics=self._statistics,
                     sampler=self._parameter_sampler,
                     skip_lower_probe=True,
-                    probe_batch=self._probe_batch,
                 )
 
         size_estimate, size_cache_hit = self._size_cache.get_or_compute(
@@ -1135,7 +1120,6 @@ class EstimationSession:
                         statistics=self._statistics,
                         sampler=self._parameter_sampler,
                         skip_lower_probe=True,
-                        probe_batch=self._probe_batch,
                     )
                 fused_passes += outcome.fused_passes
                 serial_passes += outcome.serial_passes

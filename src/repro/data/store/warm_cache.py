@@ -144,15 +144,14 @@ def size_entry_key(
     n0: int,
     N: int,
     k: int,
-    probe_batch: int,
     epsilon: float,
     delta: float,
 ) -> str:
-    """The warm key of one size-search outcome (adds ε, δ, probe_batch)."""
+    """The warm key of one size-search outcome (adds n0, ε and δ)."""
     return (
         f"{SIZE_KIND}|spec={spec_digest}|holdout={holdout_digest}"
         f"|draws={draws_digest}|theta={theta_digest}|n0={int(n0)}|N={int(N)}"
-        f"|k={int(k)}|probe={int(probe_batch)}"
+        f"|k={int(k)}"
         f"|eps={_float_hex(epsilon)}|delta={_float_hex(delta)}"
     )
 

@@ -5,15 +5,13 @@ import pytest
 
 from repro.core.contract import ApproximationContract
 from repro.core.parameter_sampler import ParameterSampler
-from repro.core.sample_size import (
-    SampleSizeEstimate,
-    SampleSizeEstimator,
-    adaptive_probe_count,
-)
+from repro.core.guarantees import conservative_upper_bound
+from repro.core.sample_size import SampleSizeEstimate, SampleSizeEstimator
 from repro.core.statistics import compute_statistics
 from repro.data.dataset import Dataset
 from repro.data.splits import SplitSpec, train_holdout_test_split
 from repro.exceptions import SampleSizeError
+from repro.models.linear_regression import LinearRegressionSpec
 from repro.models.logistic_regression import LogisticRegressionSpec
 
 
@@ -157,101 +155,65 @@ class TestBinarySearch:
             SampleSizeEstimator(spec, splits.holdout, n_parameter_samples=1)
 
 
-class TestAdaptiveProbeBatching:
-    """probe_batch is a ceiling; the per-round count adapts to the bracket."""
+class TestBisectionMinimality:
+    """On a monotone predicate the search returns the first satisfying n."""
 
-    def test_unit_schedule(self):
-        # Wide brackets use the full batch; narrow ones shrink it without
-        # adding passes; a width-2 bracket has exactly one useful midpoint.
-        assert adaptive_probe_count(1024, 3) == 3
-        assert adaptive_probe_count(9, 3) == 2
-        assert adaptive_probe_count(5, 3) == 2
-        assert adaptive_probe_count(2, 3) == 1
-        assert adaptive_probe_count(1, 3) == 0
-        # probe_batch=1 is the classic bisection at every width.
-        for span in (2, 3, 10, 1000):
-            assert adaptive_probe_count(span, 1) == 1
-        # The count never exceeds what the bracket can use.
-        for span in range(2, 50):
-            for batch in range(1, 6):
-                count = adaptive_probe_count(span, batch)
-                assert 1 <= count <= min(batch, span - 1)
-
-    def test_same_pass_count_as_fixed_batch(self):
-        # The adaptive count is chosen so (count+1)^rounds >= span with the
-        # same rounds the fixed batch needs, so passes never increase.
-        for span in range(2, 2_000, 37):
-            for batch in (2, 3, 5):
-                fixed_rounds = 1
-                while (batch + 1) ** fixed_rounds < span:
-                    fixed_rounds += 1
-                count = adaptive_probe_count(span, batch)
-                assert (count + 1) ** fixed_rounds >= span
-
-    def test_rejects_probe_batch_below_one(self):
-        for bad in (0, -1, -100):
-            with pytest.raises(SampleSizeError, match="probe_batch"):
-                adaptive_probe_count(10, bad)
-
-    def test_resolved_bracket_probes_nothing(self):
-        # span <= 1 means low and high are adjacent (or equal): there is no
-        # interior point left, whatever the batch ceiling.
-        for span in (1, 0, -3):
-            for batch in (1, 2, 7):
-                assert adaptive_probe_count(span, batch) == 0
-
-    def test_width_two_bracket_has_one_midpoint(self):
-        for batch in (1, 2, 16, 10_000):
-            assert adaptive_probe_count(2, batch) == 1
-
-    def test_probe_batch_larger_than_span_caps_at_interior(self):
-        # A ceiling wider than the bracket stacks exactly the interior
-        # points (resolving in one pass), never phantom candidates.
-        for span in range(2, 12):
-            assert adaptive_probe_count(span, 10_000) == span - 1
-
-    def test_adaptive_batched_search_matches_bisection_with_fewer_probes(
-        self, initial_model_setup
-    ):
-        spec, splits, model, stats, n0 = initial_model_setup
-        estimator = make_estimator(spec, splits, k=32)
-        contract = ApproximationContract(epsilon=0.03, delta=0.05)
-        N = splits.train.n_rows
-        bisect = estimator.estimate(
-            model.theta, n0, N, contract, stats,
-            sampler=ParameterSampler(stats, rng=np.random.default_rng(5)),
-            probe_batch=1,
+    @pytest.fixture(scope="class")
+    def linear_setup(self):
+        # Lin's difference between θ_n and θ_N is sqrt(1/n − 1/N) times a
+        # draw-dependent constant, so with shared base draws the predicate
+        # is exactly monotone in n: a small grid can be scanned in full.
+        rng = np.random.default_rng(41)
+        X = rng.normal(size=(6_000, 5))
+        y = X @ rng.normal(size=5) + rng.normal(size=6_000)
+        splits = train_holdout_test_split(
+            Dataset(X, y), SplitSpec(0.2, 0.1), rng=np.random.default_rng(2)
         )
-        # Spy on the stacked passes to observe the per-round schedule.
-        round_sizes = []
-        original = estimator.contract_satisfied_batch
+        spec = LinearRegressionSpec(regularization=1e-3)
+        n0 = 500
+        sample = splits.train.take(np.arange(n0))
+        model = spec.fit(sample)
+        statistics = compute_statistics(spec, model.theta, sample)
+        return spec, splits, model, statistics, n0
 
-        def spy(theta0, n0_, candidates, N_, contract_, sampler_):
-            round_sizes.append(len(candidates))
-            return original(theta0, n0_, candidates, N_, contract_, sampler_)
+    @pytest.mark.parametrize("skip_lower_probe", [True, False])
+    def test_returns_first_satisfying_n_by_midpoints(self, linear_setup, skip_lower_probe):
+        spec, splits, model, stats, n0 = linear_setup
+        estimator = make_estimator(spec, splits, k=16)
+        N = n0 + 100
+        sampler = ParameterSampler(stats, rng=np.random.default_rng(8))
+        # ε certified at 40% of the grid puts the answer strictly inside.
+        (at_40,) = estimator.candidate_differences_batch(
+            model.theta, n0, [n0 + 40], N, sampler
+        )
+        contract = ApproximationContract(
+            epsilon=conservative_upper_bound(at_40, 0.05), delta=0.05
+        )
+        grid = range(n0 + 1, N + 1)
+        satisfied = {
+            n: estimator.contract_satisfied(model.theta, n0, n, N, contract, sampler)
+            for n in grid
+        }
+        first = next(n for n in grid if satisfied[n])
+        assert n0 + 1 < first <= n0 + 40
+        assert all(satisfied[n] == (n >= first) for n in grid)
 
-        estimator.contract_satisfied_batch = spy
-        try:
-            batched = estimator.estimate(
-                model.theta, n0, N, contract, stats,
-                sampler=ParameterSampler(stats, rng=np.random.default_rng(5)),
-                probe_batch=3,
-            )
-        finally:
-            del estimator.contract_satisfied_batch
-        # Same answer under the shared-draw monotone predicate...
-        assert batched.sample_size == bisect.sample_size
-        assert batched.feasible == bisect.feasible
-        assert all(n0 <= probe <= N for probe in batched.probed_sizes)
-        # ...and the observed schedule is genuinely adaptive: no round ever
-        # stacked above the ceiling, the first (widest) bracket used the
-        # full batch, and at least one narrowed round stacked fewer.  The
-        # first two spy entries are the single-candidate endpoint probes.
-        bracket_rounds = round_sizes[2:]
-        assert bracket_rounds, "search never entered the bracket loop"
-        assert all(1 <= size <= 3 for size in bracket_rounds)
-        assert bracket_rounds[0] == 3
-        assert min(bracket_rounds) < 3
+        expected = [] if skip_lower_probe else [n0]
+        expected.append(N)
+        low, high = n0, N
+        while high - low > 1:
+            middle = (low + high) // 2
+            expected.append(middle)
+            low, high = (low, middle) if satisfied[middle] else (middle, high)
+
+        estimate = estimator.estimate(
+            model.theta, n0, N, contract, stats,
+            sampler=sampler, skip_lower_probe=skip_lower_probe,
+        )
+        assert estimate.feasible
+        assert estimate.sample_size == first
+        assert estimate.probed_sizes == tuple(expected)
+        assert estimate.n_probability_evaluations == len(expected)
 
 
 class TestFusedLockstepSearch:
@@ -271,34 +233,17 @@ class TestFusedLockstepSearch:
         # Serial baseline: one shared sampler, as a session would hold
         # (cached base draws make the vectors order-independent).
         serial_sampler = ParameterSampler(stats, rng=np.random.default_rng(17))
-        rounds_per_search = []
-        serial = []
-        for contract in self.CONTRACTS:
-            original = estimator.contract_satisfied_batch
-            rounds = 0
-
-            def spy(*args, _original=original, **kwargs):
-                nonlocal rounds
-                rounds += 1
-                return _original(*args, **kwargs)
-
-            estimator.contract_satisfied_batch = spy
-            try:
-                serial.append(
-                    estimator.estimate(
-                        model.theta, n0, N, contract, stats,
-                        sampler=serial_sampler,
-                        skip_lower_probe=True, probe_batch=3,
-                    )
-                )
-            finally:
-                del estimator.contract_satisfied_batch
-            rounds_per_search.append(rounds)
-
+        serial = [
+            estimator.estimate(
+                model.theta, n0, N, contract, stats,
+                sampler=serial_sampler, skip_lower_probe=True,
+            )
+            for contract in self.CONTRACTS
+        ]
         fused = estimator.estimate_many(
             model.theta, n0, N, self.CONTRACTS, stats,
             sampler=ParameterSampler(stats, rng=np.random.default_rng(17)),
-            skip_lower_probe=True, probe_batch=3,
+            skip_lower_probe=True,
         )
         assert len(fused.estimates) == len(self.CONTRACTS)
         for lone, member in zip(serial, fused.estimates):
@@ -306,9 +251,18 @@ class TestFusedLockstepSearch:
             assert member.feasible == lone.feasible
             assert member.probed_sizes == lone.probed_sizes
             assert member.n_probability_evaluations == lone.n_probability_evaluations
-        # Exact accounting: serial cost is each member's own round count;
-        # the fused run shares rounds, so it can only be cheaper.
-        assert fused.serial_passes == sum(rounds_per_search)
+        # Exact accounting: a search's serial cost is its own round count,
+        # which is what a lone estimate_many reports as fused_passes; the
+        # fused run shares rounds, so it can only be cheaper.
+        lone_passes = [
+            estimator.estimate_many(
+                model.theta, n0, N, [contract], stats,
+                sampler=serial_sampler, skip_lower_probe=True,
+            ).fused_passes
+            for contract in self.CONTRACTS
+        ]
+        assert lone_passes == [lone.n_probability_evaluations for lone in serial]
+        assert fused.serial_passes == sum(lone_passes)
         assert fused.fused_passes < fused.serial_passes
         assert fused.passes_saved == fused.serial_passes - fused.fused_passes
 
@@ -320,12 +274,12 @@ class TestFusedLockstepSearch:
         lone = estimator.estimate_many(
             model.theta, n0, N, [contract], stats,
             sampler=ParameterSampler(stats, rng=np.random.default_rng(21)),
-            skip_lower_probe=True, probe_batch=3,
+            skip_lower_probe=True,
         )
         tripled = estimator.estimate_many(
             model.theta, n0, N, [contract] * 3, stats,
             sampler=ParameterSampler(stats, rng=np.random.default_rng(21)),
-            skip_lower_probe=True, probe_batch=3,
+            skip_lower_probe=True,
         )
         # Identical contracts schedule identical candidates: the union pass
         # absorbs them, so the fused cost does not grow with multiplicity.
@@ -345,34 +299,3 @@ class TestFusedLockstepSearch:
         contract = ApproximationContract(epsilon=0.03, delta=0.05)
         with pytest.raises(SampleSizeError):
             estimator.estimate_many(model.theta, 0, N, [contract], stats)
-        with pytest.raises(SampleSizeError):
-            estimator.estimate_many(
-                model.theta, n0, N, [contract], stats, probe_batch=0
-            )
-
-
-class TestProbeBatchBoundaryValidation:
-    """probe_batch is validated with a clear error at every entry layer."""
-
-    def test_coordinator_rejects_bad_probe_batch(self):
-        from repro.core.coordinator import BlinkML
-
-        spec = LogisticRegressionSpec(regularization=1e-3)
-        with pytest.raises(SampleSizeError, match="probe_batch must be at least 1"):
-            BlinkML(spec, probe_batch=0)
-        with pytest.raises(SampleSizeError, match="probe_batch"):
-            BlinkML(spec, probe_batch=-2)
-
-    def test_session_rejects_bad_probe_batch(self):
-        from repro.core.session import EstimationSession
-
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(30, 3))
-        y = (rng.uniform(size=30) < 0.5).astype(int)
-        data = Dataset(X, y)
-        spec = LogisticRegressionSpec(regularization=1e-3)
-        # Raises before any model is trained.
-        with pytest.raises(SampleSizeError, match="probe_batch must be at least 1"):
-            EstimationSession(
-                spec, data, data, initial_sample_size=10, probe_batch=0
-            )

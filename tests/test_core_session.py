@@ -16,7 +16,7 @@ from repro.core.session import EstimationSession, SessionAnswer
 from repro.core.statistics import compute_statistics
 from repro.data.splits import SplitSpec, train_holdout_test_split
 from repro.data.synthetic import gas_like, higgs_like
-from repro.exceptions import ContractError, SampleSizeError
+from repro.exceptions import ContractError
 from repro.models.base import PrecomputedDiffAccumulator
 from repro.models.linear_regression import LinearRegressionSpec
 from repro.models.logistic_regression import LogisticRegressionSpec
@@ -456,78 +456,21 @@ class TestBatchedProbes:
     def test_batch_outcomes_match_single_probes(self, search_setup):
         spec, splits, model, stats, n0 = search_setup
         estimator = SampleSizeEstimator(spec, splits.holdout, n_parameter_samples=32)
-        contract = ApproximationContract(epsilon=0.05, delta=0.05)
         sampler = ParameterSampler(stats, rng=np.random.default_rng(5))
         N = splits.train.n_rows
         candidates = [n0, N // 4, N // 2, N]
-        batched = estimator.contract_satisfied_batch(
-            model.theta, n0, candidates, N, contract, sampler
+        batched = estimator.candidate_differences_batch(
+            model.theta, n0, candidates, N, sampler
         )
-        singles = [
-            estimator.contract_satisfied(model.theta, n0, candidate, N, contract, sampler)
-            for candidate in candidates
-        ]
-        # The cached base draws make both paths deterministic and identical.
-        assert batched == singles
-
-    def test_batched_search_needs_fewer_rounds(self, search_setup):
-        spec, splits, model, stats, n0 = search_setup
-        estimator = SampleSizeEstimator(spec, splits.holdout, n_parameter_samples=32)
-        contract = ApproximationContract(epsilon=0.03, delta=0.05)
-        N = splits.train.n_rows
-        bisect = estimator.estimate(
-            model.theta, n0, N, contract, stats,
-            sampler=ParameterSampler(stats, rng=np.random.default_rng(5)),
-            probe_batch=1,
-        )
-        batched = estimator.estimate(
-            model.theta, n0, N, contract, stats,
-            sampler=ParameterSampler(stats, rng=np.random.default_rng(5)),
-            probe_batch=3,
-        )
-        assert batched.feasible and bisect.feasible
-        assert n0 <= batched.sample_size <= N
-        # 3 candidates per pass narrow the bracket 4x per round instead of
-        # 2x, so the number of stacked passes drops from ~log2 to ~log4.
-        bisect_rounds = len(bisect.probed_sizes) - 2  # minus the endpoints
-        batched_rounds = (len(batched.probed_sizes) - 2 + 2) // 3
-        assert batched_rounds < bisect_rounds
-        # Both land on a size certified by the same shared-draw check.
-        sampler = ParameterSampler(stats, rng=np.random.default_rng(5))
-        assert estimator.contract_satisfied(
-            model.theta, n0, batched.sample_size, N, contract, sampler
-        )
-
-    def test_batched_schedule_lands_on_bisection_answer(self, search_setup):
-        # Under the (empirical, shared-draw) monotonicity of the satisfied(n)
-        # predicate, the batched bracketing converges to the same minimum n
-        # as the paper's plain bisection — this pins the default facade
-        # schedule (probe_batch=3) against the pre-refactor behaviour
-        # (probe_batch=1) across several contracts.
-        spec, splits, model, stats, n0 = search_setup
-        estimator = SampleSizeEstimator(spec, splits.holdout, n_parameter_samples=32)
-        N = splits.train.n_rows
-        for epsilon in (0.02, 0.03, 0.05):
-            contract = ApproximationContract(epsilon=epsilon, delta=0.05)
-            results = [
-                estimator.estimate(
-                    model.theta, n0, N, contract, stats,
-                    sampler=ParameterSampler(stats, rng=np.random.default_rng(5)),
-                    probe_batch=probe_batch,
-                )
-                for probe_batch in (1, 3)
-            ]
-            assert results[0].sample_size == results[1].sample_size
-            assert results[0].feasible == results[1].feasible
-
-    def test_probe_batch_validated(self, search_setup):
-        spec, splits, model, stats, n0 = search_setup
-        estimator = SampleSizeEstimator(spec, splits.holdout, n_parameter_samples=16)
-        with pytest.raises(SampleSizeError):
-            estimator.estimate(
-                model.theta, n0, splits.train.n_rows,
-                ApproximationContract(epsilon=0.05), stats, probe_batch=0,
+        assert len(batched) == len(candidates)
+        # Each candidate's segment is the vector a lone single-candidate
+        # pass computes, bit for bit (the cached base draws make the draws
+        # identical; per-segment GEMMs make the arithmetic identical).
+        for candidate, vector in zip(candidates, batched):
+            (single,) = estimator.candidate_differences_batch(
+                model.theta, n0, [candidate], N, sampler
             )
+            assert vector.tobytes() == single.tobytes()
 
 
 class TestRegistryIntegrationSurface:

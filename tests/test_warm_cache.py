@@ -266,7 +266,6 @@ class TestKeyProperties:
             n0=300,
             N=6_000,
             k=32,
-            probe_batch=4,
             epsilon=0.005,
             delta=0.05,
         )
@@ -274,7 +273,6 @@ class TestKeyProperties:
         for field, values in {
             "epsilon": (0.004, 0.0051),
             "delta": (0.04, 0.1),
-            "probe_batch": (1, 8),
             "theta_digest": ("u" * 32,),
             "draws_digest": ("e" * 32,),
             "spec_digest": ("q" * 32,),
@@ -285,7 +283,7 @@ class TestKeyProperties:
         }.items():
             for value in values:
                 keys.add(size_entry_key(**{**base, field: value}))
-        assert len(keys) == 14
+        assert len(keys) == 12
 
         diff_base = dict(
             spec_digest="s" * 32,
@@ -323,7 +321,6 @@ class TestKeyProperties:
             n0=10,
             N=100,
             k=8,
-            probe_batch=1,
         )
         a = size_entry_key(**base, epsilon=0.1, delta=0.05)
         b = size_entry_key(**base, epsilon=0.1 + 1e-18, delta=0.05)
