@@ -31,10 +31,10 @@ Every method is driven through the streaming tier: the source may be an
 in-memory :class:`~repro.data.dataset.Dataset` or any
 :class:`~repro.evaluation.streaming.BlockSource` (e.g. a memory-mapped
 :class:`~repro.data.store.ShardedDataset`), consumed as zero-copy row
-blocks by a picklable accumulator that folds each block into a
+blocks by an accumulator that folds each block into a
 shard-mergeable moment summary (:mod:`repro.linalg.moments`).  Resident
 memory is O(block · d) — the full N×d per-example gradient matrix is never
-materialised — and the executor fan-out (threads | processes) of
+materialised — and the thread fan-out of
 :func:`~repro.evaluation.streaming.stream_accumulate` applies unchanged.
 
 Store-backed sources additionally get a **per-shard statistics index**:
@@ -53,7 +53,6 @@ from __future__ import annotations
 import hashlib
 import time
 from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Any
@@ -183,10 +182,9 @@ class GradientMomentAccumulator:
     """Streaming ObservedFisher: folds per-example gradient blocks into a
     :class:`~repro.linalg.moments.GradientMomentSummary`.
 
-    Picklable (the spec drops its caches on pickling; the summary is plain
-    arrays), so process-backend workers can rebuild one from the task and
-    return their partial for the ordinary ``merge`` path.  Memory stays at
-    one ``(block_rows, d)`` gradient block plus an ``(≤d, d)`` triangular
+    Each fan-out worker builds one from the task and returns its partial
+    for the ordinary ``merge`` path.  Memory stays at one
+    ``(block_rows, d)`` gradient block plus an ``(≤d, d)`` triangular
     factor — the N×d matrix never exists.
     """
 
@@ -304,7 +302,7 @@ class BlockHessianAccumulator:
 
 @dataclass(frozen=True)
 class _StatisticsTask:
-    """Picklable recipe for one streamed moment accumulation.
+    """Recipe for one streamed moment accumulation.
 
     The statistics-tier counterpart of the diff `_StreamTask`; anything
     :func:`~repro.evaluation.streaming.stream_accumulate` needs.
@@ -383,7 +381,7 @@ def _shard_block_bounds(
 
 @dataclass(frozen=True)
 class _ShardSummaryTask(_StatisticsTask):
-    """One shard's canonical summary computation (picklable for processes)."""
+    """One shard's canonical summary computation."""
 
     start: int = 0
     stop: int = 0
@@ -393,8 +391,7 @@ class _ShardSummaryTask(_StatisticsTask):
 def _compute_shard_summary(task: _ShardSummaryTask) -> MomentSummary:
     """Worker body: serial canonical fold over one shard's blocks.
 
-    Top-level so the process backend can pickle it; parallelism across
-    shards never leaks into a shard's own fold order.
+    Parallelism across shards never leaks into a shard's own fold order.
     """
     accumulator = task.make_accumulator()
     blocks = as_block_source(task.source)
@@ -408,16 +405,9 @@ def _compute_shard_summary(task: _ShardSummaryTask) -> MomentSummary:
 def _map_shard_tasks(
     tasks: list[_ShardSummaryTask], config: StreamingConfig
 ) -> list[MomentSummary]:
-    """Run shard-summary tasks on the configured executor, results in order."""
+    """Run shard-summary tasks on the thread pool, results in order."""
     if config.n_workers <= 1 or len(tasks) <= 1:
         return [_compute_shard_summary(task) for task in tasks]
-    if config.backend == "processes":
-        pool = _streaming._shared_process_pool(config.n_workers)
-        try:
-            return list(pool.map(_compute_shard_summary, tasks))
-        except BrokenProcessPool:
-            _streaming._discard_process_pool(config.n_workers, pool)
-            raise
     n_workers = min(config.n_workers, len(tasks))
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         return list(pool.map(_compute_shard_summary, tasks))
@@ -539,7 +529,7 @@ def compute_statistics(
     streaming:
         Block size / executor configuration; defaults to serial folding in
         blocks of :data:`~repro.config.DEFAULT_STATS_BLOCK_ROWS` rows with
-        the session-wide worker/backend defaults.
+        the session-wide worker default.
     persist:
         For store-backed sources: whether newly computed per-shard
         summaries may be written back as sidecars.  Pass ``False`` for

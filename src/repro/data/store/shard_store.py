@@ -502,23 +502,15 @@ class ShardStore:
         return writer.close()
 
     @classmethod
-    def open(
-        cls, directory: str | os.PathLike, *, validate_layout: bool = True
-    ) -> "ShardStore":
+    def open(cls, directory: str | os.PathLike) -> "ShardStore":
         """Open an existing store, validating layout against the manifest.
 
-        ``validate_layout=True`` (the default) checks every shard file's
-        ``.npy`` header — existence, shape, dtype — up front, so a partial
-        or mismatched store fails at open time.  Pass ``False`` on hot
-        re-open paths that will validate lazily anyway (every
-        ``read_block`` re-checks the header of the shard it touches):
-        process-backend workers unpickling a ``ShardedDataset`` per task
-        must not pay O(n_shards) file opens before reading a single row.
+        Checks every shard file's ``.npy`` header — existence, shape,
+        dtype — up front, so a partial or mismatched store fails at open
+        time.
         """
         manifest = ShardManifest.load(directory)
         store = cls(directory, manifest)
-        if not validate_layout:
-            return store
         x_dtype = np.dtype(manifest.x_dtype)
         y_dtype = None if manifest.y_dtype is None else np.dtype(manifest.y_dtype)
         for shard in manifest.shards:
@@ -692,15 +684,11 @@ class ShardedDataset:
     :class:`Dataset` — this is how :class:`repro.data.sampling.UniformSampler`
     draws the paper's small training samples from an arbitrarily large
     store.
-
-    Instances pickle as the store *path* (plus expected digest), not the
-    data: the process streaming backend ships a handle to each worker and
-    every worker re-opens its own memory maps.
     """
 
     #: most shards whose memory maps one instance keeps open at a time.
     #: Streaming visits shards sequentially (1 live shard) and the thread
-    #: backend at most n_workers concurrently, so a small LRU serves every
+    #: fan-out at most n_workers concurrently, so a small LRU serves every
     #: access pattern while bounding file descriptors — an unbounded cache
     #: on a many-thousand-shard store would exhaust the process fd limit.
     MAX_CACHED_SHARDS = 16
@@ -944,31 +932,6 @@ class ShardedDataset:
             )
         )
         return Dataset(X, y, name=self._name, metadata=self.metadata)
-
-    # ------------------------------------------------------------------
-    # Pickling: ship the path, not the data
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        return {
-            "directory": self._store.directory,
-            "name": self._name,
-            "content_digest": self.manifest.content_digest,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        # Manifest + digest check only: eager per-shard header validation
-        # would cost O(n_shards) opens on every process-backend task, and
-        # read_block validates each shard it actually touches anyway.
-        store = ShardStore.open(state["directory"], validate_layout=False)
-        if store.manifest.content_digest != state["content_digest"]:
-            raise DataError(
-                "shard store changed between pickling and unpickling "
-                f"({state['directory']!r}): content digest mismatch"
-            )
-        self._store = store
-        self._name = state["name"]
-        self._memmaps = OrderedDict()
-        self._memmap_lock = threading.Lock()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -15,25 +15,10 @@ target.  This module is the driver half of the streaming replacement:
   disagreement counts / squared-error sums;
 * memory therefore stays O(k · block) no matter how large the holdout is —
   and with a sharded source, the *data* is never resident either;
-* optionally, contiguous block ranges fan out across an executor.  Two
-  backends: ``"threads"`` (NumPy releases the GIL inside the per-block
-  GEMMs — right for the built-in families) and ``"processes"`` (a process
-  pool for GIL-bound custom model specs; each worker builds its own
-  accumulator from the spec, consumes its block range, and the parent
-  merges the returned partials with the ordinary
-  :meth:`DiffAccumulator.merge` path).
-
-Process-backend requirements: the spec, the source and the accumulator's
-partial state must be picklable, and — as with any ``spawn``/``forkserver``
-multiprocessing — the program's entry module must be import-safe (guard
-script entry points with ``if __name__ == "__main__":``; code piped to
-stdin cannot host process workers).  The built-in specs and accumulators are
-(:class:`~repro.models.base.BlockSumDiffAccumulator` pickles its sums and
-row count and drops its closures — a restored partial can be merged, not
-updated); a ``ShardedDataset`` ships as its store path, so workers re-open
-their own memory maps instead of copying rows, while an in-memory
-``Dataset`` is copied once per worker — the process backend pairs best
-with sharded sources.
+* optionally, contiguous block ranges fan out across a thread pool (NumPy
+  releases the GIL inside the per-block GEMMs); each worker folds its range
+  into its own accumulator and the partials merge in holdout order through
+  the ordinary :meth:`DiffAccumulator.merge` path.
 
 Layering (see ``docs/architecture.md``): the estimation session and the
 accuracy / sample-size estimators call the two ``streaming_*`` functions
@@ -44,29 +29,19 @@ where the rows live.
 
 from __future__ import annotations
 
-import multiprocessing
-import threading
 import time
 from collections.abc import Iterable, Iterator
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.config import (
-    DEFAULT_HOLDOUT_BLOCK_ROWS,
-    DEFAULT_STREAMING_BACKEND,
-    DEFAULT_STREAMING_WORKERS,
-)
+from repro.config import DEFAULT_HOLDOUT_BLOCK_ROWS, DEFAULT_STREAMING_WORKERS
 from repro.data.dataset import Dataset
 from repro.exceptions import DataError
 from repro.models.base import DiffAccumulator, ModelClassSpec
 from repro.obs import current_pass_scope, get_metrics, maybe_span, obs_enabled
-
-#: executor backends accepted by :class:`StreamingConfig`.
-STREAMING_BACKENDS = ("threads", "processes")
 
 # Streamed-pass accounting: one tick per stream_accumulate() call that
 # actually consumes holdout blocks (parameter-space metrics never stream
@@ -79,15 +54,9 @@ STREAMING_BACKENDS = ("threads", "processes")
 # calling scope ("accuracy" / "size-search" / "statistics" / "unscoped")
 # and session label the caller set via repro.obs.pass_scope();
 # streaming_pass_count() stays as a thin label-blind reader so every
-# existing diff-two-readings call site keeps working unchanged.
-#
-# Processes-backend audit: the tick happens here in the *parent*, before
-# any fan-out.  Process workers execute _run_block_range only — they never
-# call stream_accumulate, so no increment can be lost in (or double-counted
-# by) a worker process whose registry dies with it; the same reasoning
-# keeps the per-pass telemetry below parent-side.  The counter is always
-# live (not gated by obs_enabled) because pass economy is this library's
-# central claim, not optional telemetry.
+# existing diff-two-readings call site keeps working unchanged.  The
+# counter is always live (not gated by obs_enabled) because pass economy is
+# this library's central claim, not optional telemetry.
 _PASSES_TOTAL = get_metrics().counter(
     "repro_streaming_passes_total",
     "Streamed passes over a block source (one per stream_accumulate() "
@@ -96,7 +65,7 @@ _PASSES_TOTAL = get_metrics().counter(
 )
 _PASS_BLOCKS_TOTAL = get_metrics().counter(
     "repro_streaming_blocks_total",
-    "Holdout blocks consumed by streamed passes (parent-side accounting).",
+    "Holdout blocks consumed by streamed passes.",
     ("scope",),
 )
 _PASS_ROWS_TOTAL = get_metrics().counter(
@@ -179,7 +148,7 @@ class BlockSource(Protocol):
 
 @dataclass(frozen=True)
 class StreamingConfig:
-    """How the holdout is sharded and which executor fans the blocks out.
+    """How the holdout is sharded and how many threads fan the blocks out.
 
     Parameters
     ----------
@@ -189,29 +158,17 @@ class StreamingConfig:
     n_workers:
         0 or 1 processes blocks serially on the calling thread; larger
         values split the block sequence into that many contiguous ranges
-        and run them on the configured executor, merging partials in
-        holdout order.
-    backend:
-        ``"threads"`` (default) or ``"processes"``.  Threads suit the
-        built-in NumPy families (the GIL is released inside the per-block
-        GEMMs); processes suit GIL-bound custom specs — see the module
-        docstring for the picklability requirements.
+        and run them on a thread pool, merging partials in holdout order.
     """
 
     block_rows: int = DEFAULT_HOLDOUT_BLOCK_ROWS
     n_workers: int = DEFAULT_STREAMING_WORKERS
-    backend: str = DEFAULT_STREAMING_BACKEND
 
     def __post_init__(self) -> None:
         if self.block_rows < 1:
             raise DataError("block_rows must be at least 1")
         if self.n_workers < 0:
             raise DataError("n_workers must be non-negative")
-        if self.backend not in STREAMING_BACKENDS:
-            raise DataError(
-                f"unknown streaming backend {self.backend!r}; "
-                f"expected one of {STREAMING_BACKENDS}"
-            )
 
 
 #: module default used whenever a caller passes ``config=None``.
@@ -284,7 +241,7 @@ def iter_holdout_blocks(
 
 @runtime_checkable
 class StreamTask(Protocol):
-    """Picklable recipe for one streamed block-fold evaluation.
+    """Recipe for one streamed block-fold evaluation.
 
     Anything :func:`stream_accumulate` can drive: it names the block source
     and knows how to build a fresh accumulator (an object with the
@@ -302,12 +259,11 @@ class StreamTask(Protocol):
 
 @dataclass(frozen=True)
 class _StreamTask:
-    """Picklable recipe for one streamed diff evaluation.
+    """Recipe for one streamed diff evaluation.
 
-    Carries everything a process worker needs to rebuild the accumulator
-    locally: the spec, which factory to call, the parameter batches and the
-    source.  Also used in-process as the single place the accumulator
-    factory is defined.
+    The spec, which factory to call, the parameter batches and the source:
+    the single place the accumulator factory is defined, called once per
+    fan-out worker.
     """
 
     spec: ModelClassSpec
@@ -364,11 +320,11 @@ class FanoutDiffAccumulator(DiffAccumulator):
 
 @dataclass(frozen=True)
 class _FanoutStreamTask:
-    """Picklable recipe bundling several diff tasks into one block sweep.
+    """Recipe bundling several diff tasks into one block sweep.
 
     All member tasks must share one block source (the session holdout); the
     fan-out accumulator is simply each member's own accumulator driven in
-    lockstep, so process workers rebuild and merge exactly as they do for a
+    lockstep, so fan-out workers build and merge exactly as they do for a
     single task.
     """
 
@@ -380,67 +336,6 @@ class _FanoutStreamTask:
 
     def make_accumulator(self) -> FanoutDiffAccumulator:
         return FanoutDiffAccumulator([task.make_accumulator() for task in self.tasks])
-
-
-def _run_block_range(task: StreamTask, bounds: list[tuple[int, int]]) -> DiffAccumulator:
-    """Worker body (both backends): one fresh accumulator over one range.
-
-    Top-level so the process backend can pickle it; with a sharded source
-    the worker's ``read_block`` calls hit its own re-opened memory maps.
-    """
-    accumulator = task.make_accumulator()
-    blocks = as_block_source(task.source)
-    for start, stop in bounds:
-        accumulator.update(blocks.read_block(start, stop))
-    return accumulator
-
-
-def _process_context() -> multiprocessing.context.BaseContext:
-    """Forkserver where the platform offers it, the default elsewhere.
-
-    ``fork`` (still the Linux default until Python 3.14) is unsafe in
-    exactly the deployments this library promotes: a serving process with
-    live threads (thread-backend sessions, registry locks, BLAS internals
-    mid-GEMM) that forks can hand workers inherited locks in the held
-    state.  ``forkserver`` forks from a clean single-threaded server
-    instead, and its per-worker start-up cost is amortised by the shared
-    pools below.  Workers import the worker function, spec classes and
-    sources by reference, which everything in this module supports
-    (top-level function, picklable tasks); platforms without forkserver
-    (Windows) use their default, spawn, with the same pickling contract.
-    """
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "forkserver" if "forkserver" in methods else None
-    )
-
-
-#: shared process pools, keyed by worker count.  Worker start-up (a full
-#: interpreter under spawn/forkserver) is far too expensive to pay on every
-#: streamed evaluation — one train_to() contract alone runs dozens — so
-#: pools are created lazily and reused for the life of the process;
-#: concurrent.futures' own exit hook joins them at interpreter shutdown.
-_PROCESS_POOLS: dict[int, ProcessPoolExecutor] = {}  # guarded-by: _PROCESS_POOLS_LOCK
-_PROCESS_POOLS_LOCK = threading.Lock()
-
-
-def _shared_process_pool(max_workers: int) -> ProcessPoolExecutor:
-    with _PROCESS_POOLS_LOCK:
-        pool = _PROCESS_POOLS.get(max_workers)
-        if pool is None:
-            pool = ProcessPoolExecutor(
-                max_workers=max_workers, mp_context=_process_context()
-            )
-            _PROCESS_POOLS[max_workers] = pool
-        return pool
-
-
-def _discard_process_pool(max_workers: int, pool: ProcessPoolExecutor) -> None:
-    """Drop a broken pool from the cache so the next call builds a fresh one."""
-    with _PROCESS_POOLS_LOCK:
-        if _PROCESS_POOLS.get(max_workers) is pool:
-            del _PROCESS_POOLS[max_workers]
-    pool.shutdown(wait=False, cancel_futures=True)
 
 
 def _split_ranges(
@@ -473,7 +368,7 @@ def stream_accumulate(task: StreamTask, config: StreamingConfig) -> Any:
     if not obs_enabled():
         return _consume_blocks(task, first, blocks, bounds, config)
     # Extra per-pass telemetry (REPRO_OBS_ENABLED): a span plus block/row/
-    # byte/wall-time metrics, recorded parent-side around the exact same
+    # byte/wall-time metrics, recorded on the calling thread around the exact same
     # consumption path — the fold itself is untouched, so results are
     # bitwise identical with the flag on or off.
     scope, _session = current_pass_scope()
@@ -481,7 +376,6 @@ def stream_accumulate(task: StreamTask, config: StreamingConfig) -> Any:
     with maybe_span(
         "streaming.pass",
         scope=scope,
-        backend=config.backend,
         blocks=len(bounds),
         rows=blocks.n_rows,
     ):
@@ -509,27 +403,6 @@ def _consume_blocks(
     # Contiguous block ranges per worker so merge order equals holdout order.
     n_workers = min(config.n_workers, len(bounds))
     ranges = _split_ranges(bounds, n_workers)
-
-    if config.backend == "processes":
-        # Workers rebuild the accumulator from the task (closures never
-        # cross the process boundary) and return their partial state; the
-        # parent merges the partials into its own full accumulator in
-        # holdout order, so finalize() runs with the parent's closures.
-        # The pool is shared across calls (see _shared_process_pool) and
-        # keyed by the *configured* worker count, not this call's effective
-        # range count — otherwise holdouts of varying sizes would accumulate
-        # one persistent pool per distinct min(n_workers, n_blocks).  A
-        # short call simply submits fewer tasks than the pool has workers.
-        # A broken pool is discarded so later calls recover with a fresh one.
-        pool = _shared_process_pool(config.n_workers)
-        try:
-            partials = list(pool.map(_run_block_range, [task] * len(ranges), ranges))
-        except BrokenProcessPool:
-            _discard_process_pool(config.n_workers, pool)
-            raise
-        for partial in partials:
-            first.merge(partial)
-        return first.finalize()
 
     accumulators = [first] + [task.make_accumulator() for _ in range(len(ranges) - 1)]
 

@@ -18,8 +18,8 @@ instrument guards its label-keyed series map, so hot-path increments from
 the streaming executor's worker threads never contend with unrelated
 instruments.  :meth:`MetricsRegistry.snapshot` freezes the whole registry
 into a :class:`MetricsSnapshot` — plain frozen dataclasses of tuples,
-picklable by construction, so a process-backend worker can ship its
-snapshot to the parent and :meth:`MetricsSnapshot.merge` folds the two
+picklable by construction, so snapshots from separate serving processes
+can be shipped to one place and :meth:`MetricsSnapshot.merge` folds them
 exactly the way the TSQR moment summaries merge: associatively,
 bucket-by-bucket, with incompatible schemas rejected loudly
 (:class:`~repro.exceptions.ObservabilityError`) instead of silently

@@ -11,8 +11,7 @@ Four contract groups, mirroring the subsystem's load-bearing claims:
   shard files or manifest is detected;
 * **streaming parity** — accuracy/sample-size-relevant streamed diffs over
   a ``ShardedDataset`` match the in-memory path bitwise for classification
-  families and to 1e-12 for regression, under the serial, thread and
-  process backends alike;
+  families and to 1e-12 for regression, serial or thread-fanned;
 * **strict failure** — partial or corrupt stores (truncated manifest,
   missing shards, header mismatches) refuse to open rather than serving
   questionable rows.
@@ -514,23 +513,9 @@ class TestBlockSource:
         # and the factory touched only n_features from the manifest.
         assert len(sharded._memmaps) == 0
 
-    def test_pickle_roundtrip_reopens_store(self, cls_data, tmp_path):
-        sharded = write_store(cls_data, tmp_path, shard_rows=300)
-        clone = pickle.loads(pickle.dumps(sharded))
-        assert clone.content_digest() == sharded.content_digest()
-        assert np.array_equal(clone.read_block(0, 10).X, sharded.read_block(0, 10).X)
-
-    def test_pickle_detects_store_swap(self, cls_data, tmp_path):
-        sharded = write_store(cls_data, tmp_path / "a", shard_rows=300)
-        payload = pickle.dumps(sharded)
-        changed = Dataset(np.asarray(cls_data.X) + 1.0, cls_data.y)
-        ShardStore.write(changed, tmp_path / "a", shard_rows=300, overwrite=True)
-        with pytest.raises(DataError, match="changed between"):
-            pickle.loads(payload)
-
 
 # ----------------------------------------------------------------------
-# Streaming parity: in-memory Dataset vs ShardedDataset, all backends
+# Streaming parity: in-memory Dataset vs ShardedDataset, serial and threaded
 # ----------------------------------------------------------------------
 def sampled_parameters(d: int, k: int = 12, seed: int = 0):
     rng = np.random.default_rng(seed)
@@ -539,13 +524,12 @@ def sampled_parameters(d: int, k: int = 12, seed: int = 0):
 
 BACKENDS = [
     StreamingConfig(block_rows=128),
-    StreamingConfig(block_rows=128, n_workers=3, backend="threads"),
-    StreamingConfig(block_rows=128, n_workers=2, backend="processes"),
+    StreamingConfig(block_rows=128, n_workers=3),
 ]
 
 
 class TestStreamingParity:
-    @pytest.mark.parametrize("config", BACKENDS, ids=["serial", "threads", "processes"])
+    @pytest.mark.parametrize("config", BACKENDS, ids=["serial", "threads"])
     def test_classification_bitwise(self, cls_data, tmp_path, config):
         sharded = write_store(cls_data, tmp_path, shard_rows=300)
         spec = LogisticRegressionSpec(regularization=1e-3)
@@ -563,7 +547,7 @@ class TestStreamingParity:
         )
         assert np.array_equal(actual_pair, expected_pair)
 
-    @pytest.mark.parametrize("config", BACKENDS, ids=["serial", "threads", "processes"])
+    @pytest.mark.parametrize("config", BACKENDS, ids=["serial", "threads"])
     def test_regression_within_1e12(self, reg_data, tmp_path, config):
         sharded = write_store(reg_data, tmp_path, shard_rows=300)
         spec = LinearRegressionSpec(regularization=1e-3)
@@ -581,21 +565,7 @@ class TestStreamingParity:
         )
         np.testing.assert_allclose(actual_pair, expected_pair, atol=1e-12)
 
-    def test_process_backend_equals_thread_backend(self, cls_data, tmp_path):
-        sharded = write_store(cls_data, tmp_path, shard_rows=300)
-        spec = LogisticRegressionSpec(regularization=1e-3)
-        theta, Thetas, _ = sampled_parameters(cls_data.n_features)
-        threaded = streaming_prediction_differences(
-            spec, theta, Thetas, sharded,
-            StreamingConfig(block_rows=128, n_workers=3, backend="threads"),
-        )
-        processed = streaming_prediction_differences(
-            spec, theta, Thetas, sharded,
-            StreamingConfig(block_rows=128, n_workers=3, backend="processes"),
-        )
-        assert np.array_equal(threaded, processed)
-
-    @pytest.mark.parametrize("config", BACKENDS[:2], ids=["serial", "threads"])
+    @pytest.mark.parametrize("config", BACKENDS, ids=["serial", "threads"])
     def test_generic_spec_streams_sharded_source(
         self, cls_data, reg_data, tmp_path, config, predict_only_specs
     ):
@@ -637,9 +607,9 @@ class TestServingFromShards:
         "backend",
         [
             StreamingConfig(block_rows=100),
-            StreamingConfig(block_rows=100, n_workers=2, backend="processes"),
+            StreamingConfig(block_rows=100, n_workers=2),
         ],
-        ids=["serial", "processes"],
+        ids=["serial", "threads"],
     )
     def test_session_bitwise_identical_to_in_memory(self, cls_data, tmp_path, backend):
         train, holdout = split_rows(cls_data, 1_500)
@@ -696,30 +666,12 @@ class TestServingFromShards:
 
 
 # ----------------------------------------------------------------------
-# Accumulator transport (process backend return values)
+# Spec pickling
 # ----------------------------------------------------------------------
 class TestAccumulatorTransport:
-    def test_pickled_partial_merges_but_cannot_update_or_finalize(self, cls_data):
-        spec = LogisticRegressionSpec(regularization=1e-3)
-        theta, Thetas, _ = sampled_parameters(cls_data.n_features)
-        full = spec.diff_accumulator(theta, Thetas, cls_data)
-        donor = spec.diff_accumulator(theta, Thetas, cls_data)
-        blocks = list(iter_holdout_blocks(cls_data, 500))
-        for block in blocks[:2]:
-            full.update(block)
-        for block in blocks[2:]:
-            donor.update(block)
-        restored = pickle.loads(pickle.dumps(donor))
-        with pytest.raises(ModelSpecError, match="deserialized partial"):
-            restored.update(blocks[0])
-        with pytest.raises(ModelSpecError, match="deserialized partial"):
-            restored.finalize()
-        full.merge(restored)
-        expected = spec.prediction_differences(theta, Thetas, cls_data)
-        assert np.array_equal(full.finalize(), expected)
-
     def test_specs_pickle_roundtrip(self, cls_data):
-        # The process backend ships specs to its workers.
+        # A spec's pickle state (__getstate__) is what spec_digest hashes to
+        # key the statistics sidecars and warm-cache entries.
         spec = LogisticRegressionSpec(regularization=1e-3)
         clone = pickle.loads(pickle.dumps(spec))
         assert vars(clone) == vars(spec)

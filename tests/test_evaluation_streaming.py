@@ -217,44 +217,3 @@ class TestAccumulatorProtocol:
     def test_block_sum_requires_candidates(self):
         with pytest.raises(ModelSpecError):
             BlockSumDiffAccumulator(0, lambda block: 0, lambda sums, rows: sums)
-
-
-class TestExecutorBackends:
-    """The threads | processes executor abstraction over block fan-out."""
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(DataError):
-            StreamingConfig(backend="gpu")
-
-    @pytest.mark.parametrize("family", ["lr", "lin"])
-    def test_process_backend_matches_serial_on_in_memory_data(self, family):
-        spec, holdout, p = _CACHE[family]
-        theta_ref, Thetas, Thetas_b = _parameter_batches(p, seed=40)
-        serial = streaming_prediction_differences(
-            spec, theta_ref, Thetas, holdout, config=StreamingConfig(block_rows=100)
-        )
-        processed = streaming_prediction_differences(
-            spec, theta_ref, Thetas, holdout,
-            config=StreamingConfig(block_rows=100, n_workers=2, backend="processes"),
-        )
-        np.testing.assert_allclose(processed, serial, atol=1e-12)
-        serial_pair = streaming_pairwise_prediction_differences(
-            spec, Thetas, Thetas_b, holdout, config=StreamingConfig(block_rows=100)
-        )
-        processed_pair = streaming_pairwise_prediction_differences(
-            spec, Thetas, Thetas_b, holdout,
-            config=StreamingConfig(block_rows=100, n_workers=2, backend="processes"),
-        )
-        np.testing.assert_allclose(processed_pair, serial_pair, atol=1e-12)
-
-    def test_process_backend_bitwise_for_classification(self):
-        spec, holdout, p = _CACHE["lr"]
-        theta_ref, Thetas, _ = _parameter_batches(p, seed=41)
-        serial = streaming_prediction_differences(
-            spec, theta_ref, Thetas, holdout, config=StreamingConfig(block_rows=64)
-        )
-        processed = streaming_prediction_differences(
-            spec, theta_ref, Thetas, holdout,
-            config=StreamingConfig(block_rows=64, n_workers=3, backend="processes"),
-        )
-        assert np.array_equal(processed, serial)

@@ -7,7 +7,7 @@ The two hard guarantees the tier ships with:
   streamed-pass counts) with telemetry on and off;
 * **fidelity** — the exported counters agree exactly with the accounting
   the stack already proves elsewhere: the pass counter with
-  ``streaming_pass_count()`` across every executor backend, the bridged
+  ``streaming_pass_count()`` serial and thread-fanned, the bridged
   roll-ups with the pre-existing ``RegistryStats.cache_totals`` fold.
 """
 
@@ -127,17 +127,16 @@ class TestPassCounterParity:
         "config",
         [
             StreamingConfig(block_rows=100),
-            StreamingConfig(block_rows=100, n_workers=2, backend="threads"),
-            StreamingConfig(block_rows=100, n_workers=2, backend="processes"),
+            StreamingConfig(block_rows=100, n_workers=2),
         ],
-        ids=["serial", "threads", "processes"],
+        ids=["serial", "threads"],
     )
     def test_one_tick_per_pass_under_every_backend(self, splits, config):
         """Worker fan-out never double-ticks and never loses increments.
 
-        The counter ticks in the parent, once per block-consuming call —
-        workers (threads or forkserver processes) only evaluate block
-        ranges — so the count is exact under every backend.
+        The counter ticks on the calling thread, once per block-consuming
+        call — worker threads only evaluate block ranges — so the count is
+        exact serial or fanned out.
         """
         rng = np.random.default_rng(31)
         theta_ref = rng.normal(size=8)

@@ -4,10 +4,9 @@ Contract groups, mirroring the tier's load-bearing claims:
 
 * **streaming parity** — ``compute_statistics`` over a sharded,
   block-streamed source matches the materialised in-memory path to 1e-12
-  relative error for all five model families, under the thread and process
-  backends alike (the TSQR moment summary reproduces the gradient matrix's
-  singular structure, not its bytes, so the bound is numerical, not
-  bitwise);
+  relative error for all five model families, thread-fanned (the TSQR
+  moment summary reproduces the gradient matrix's singular structure, not
+  its bytes, so the bound is numerical, not bitwise);
 * **summary algebra** — the moment summaries merge associatively and
   round-trip through their array form losslessly (the property the sidecar
   persistence and the shard-order fold both rely on);
@@ -106,12 +105,11 @@ def _fitted(family: str):
 # ----------------------------------------------------------------------
 class TestStreamingParity:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
-    @pytest.mark.parametrize("backend", ["threads", "processes"])
-    def test_sharded_matches_materialised(self, family, backend, tmp_path):
+    def test_sharded_matches_materialised(self, family, tmp_path):
         spec, theta, data = _fitted(family)
         reference = compute_statistics(spec, theta, data)
         sharded = ShardStore.write(data, tmp_path, shard_rows=257).dataset()
-        config = StreamingConfig(block_rows=191, n_workers=2, backend=backend)
+        config = StreamingConfig(block_rows=191, n_workers=2)
         streamed = compute_statistics(
             spec, theta, sharded, streaming=config, persist=False
         )
